@@ -26,14 +26,12 @@ rearranged forms with no subtractive loss.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .qchannel import QuantumState, binary_entropy, entropy
 
 # computed slab lower bounds carry ~1e-17 absolute rounding error, so values
@@ -66,7 +64,8 @@ def simplex_bounds(k: int, t: float) -> tuple[float, float]:
     lower = min(max(lower, 0.0), 1.0)
     # u >= 1/k holds for every t; l <= 1/k only up to t = 1/k (beyond it the
     # slab stops being an enclosure of the uniform point)
-    assert upper >= 1.0 / k - 1e-12
+    if upper < 1.0 / k - 1e-12:
+        raise ConvergenceError("simplex upper bound fell below 1/k")
     return lower, upper
 
 
@@ -182,14 +181,6 @@ class ScanSummary:
                 "violations": self.violations}
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FREECONTRACT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def k_grid(kmin: float, kmax: float, points: int) -> list[int]:
     """Log-spaced integer grid (deduplicated, ascending)."""
     if not (2 <= kmin <= kmax) or points < 1:
@@ -216,19 +207,13 @@ def scan_violation(
 
     Cells where f is undefined (t = 1/k exactly, e.g. at r = 1) are recorded
     with g = NaN and excluded from the search.  Rows come back in (k, r)
-    grid order regardless of the FREECONTRACT_THREADS parallelism.
+    grid order.
     """
     ks = list(ks)
     rs = list(rs)
     if not ks or not rs:
         raise DomainError("scan grid must be nonempty")
-    cells = [(k, r) for k in ks for r in rs]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda kr: _gap_or_nan(*kr), cells))
-    else:
-        rows = [_gap_or_nan(k, r) for k, r in cells]
+    rows = [_gap_or_nan(k, r) for k in ks for r in rs]
     best: Optional[ViolationReport] = None
     violations = 0
     for row in rows:

@@ -48,14 +48,11 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="generic tolerance recorded in run metadata")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _meta(args) -> dict:
-    return {"seed": args.seed, "tol": args.tol, "generator": GENERATOR_NAME}
+    return {"seed": args.seed, "generator": GENERATOR_NAME}
 
 
 # -- measure ----------------------------------------------------------------
@@ -241,6 +238,7 @@ def build_parser() -> _Parser:
     p_tnorm.add_argument("--all-bounds", action="store_true")
     p_tnorm.add_argument("--L", type=float, default=None,
                          help="norm cap for the lower bound (default: max eigenvalue)")
+    p_tnorm.add_argument("--format", choices=("json", "csv"), default="json")
     _common_flags(p_tnorm)
     p_tnorm.set_defaults(func=_cmd_tnorm)
 
@@ -303,9 +301,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    if args.tol <= 0:
-        sys.stderr.write("freecontract: error: --tol must be positive\n")
-        return 1
     try:
         return args.func(args)
     except (DomainError, ConvergenceError) as exc:

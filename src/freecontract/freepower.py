@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .measures import AtomicMeasure, moments, nevanlinna_rho
-from .rootfind import bisect_newton
+from .measures import AtomicMeasure, cauchy_pair, moments, nevanlinna_rho
+from .rootfind import bisect_newton, damped_newton
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
@@ -56,22 +57,24 @@ class _Curve:
 
 
 class _PowerKernel:
-    """Precomputed subordination data for one (mu, T > 1) pair."""
+    """Subordination data for one (mu, T > 1) pair.
+
+    Construction computes only the moments and rho; the component geometry
+    (`curves`) is located on first use.
+    """
 
     def __init__(self, mu: AtomicMeasure, T: float):
+        if T <= 1.0:
+            raise DomainError("subordination is defined for powers T > 1")
         self.mu = mu
         self.T = float(T)
         self.tau, self.var = moments(mu)
-        if self.var <= 0.0:
-            raise DomainError("subordination machinery needs a measure with positive variance")
         rho = nevanlinna_rho(mu)
         self.beta = rho.positions
         self.c = rho.weights
         self.sigma = math.sqrt(self.var)
         self.s = 1.0 / (self.T - 1.0)
         self.f_cap = self.sigma * math.sqrt(self.T - 1.0)
-        self.curves: list[_Curve] = []
-        self._locate_components()
 
     # -- pointwise building blocks -------------------------------------
 
@@ -98,6 +101,17 @@ class _PowerKernel:
         return 1.0 - (self.T - 1.0) * np.sum(
             self.c[:, None] / (z[None, :] - self.beta[:, None]) ** 2, axis=0
         )
+
+    def h_pair(self, w: complex) -> tuple[complex, complex]:
+        """Scalar (H(w), H'(w))."""
+        z = np.array([complex(w)])
+        return complex(self.h(z)[0]), complex(self.h_prime(z)[0])
+
+    def invert_h(self, z: complex, tol: float) -> complex:
+        """w in the upper half plane with H(w) = z, by damped Newton from the
+        large-|z| asymptote w = z - (T-1)*mean."""
+        return damped_newton(self.h_pair, z, z - (self.T - 1.0) * self.tau, tol,
+                             "inverting H")
 
     def g_mu(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -135,7 +149,11 @@ class _PowerKernel:
 
     # -- component geometry ----------------------------------------------
 
-    def _locate_components(self) -> None:
+    @cached_property
+    def curves(self) -> list[_Curve]:
+        """Maximal intervals of B with their image intervals and a.c. masses."""
+        if self.var <= 0.0:
+            raise DomainError("subordination machinery needs a measure with positive variance")
         beta, s = self.beta, self.s
         reach = self.f_cap + 1.0   # B lies within reach of the rho atoms
         edges: list[float] = []
@@ -162,15 +180,18 @@ class _PowerKernel:
                                    float(beta[-1]), beta[-1] + reach,
                                    lo_positive=True, bisect_iterations=80))
         edges.sort()
-        assert len(edges) % 2 == 0
+        if len(edges) % 2:
+            raise ConvergenceError("component edges do not pair up")
+        curves = []
         for i in range(0, len(edges), 2):
             u_lo, u_hi = edges[i], edges[i + 1]
-            assert np.any((self.beta > u_lo) & (self.beta < u_hi)), \
-                "every component must contain a rho atom"
+            if not np.any((self.beta > u_lo) & (self.beta < u_hi)):
+                raise ConvergenceError("a located component contains no rho atom")
             x_lo = float(self.h(np.array([u_lo + 0j]))[0].real)
             x_hi = float(self.h(np.array([u_hi + 0j]))[0].real)
             mass = self._component_mass(u_lo, u_hi)
-            self.curves.append(_Curve(u_lo, u_hi, x_lo, x_hi, mass))
+            curves.append(_Curve(u_lo, u_hi, x_lo, x_hi, mass))
+        return curves
 
     # -- quadrature --------------------------------------------------------
 
@@ -247,23 +268,16 @@ class _PowerKernel:
             hi = np.where(low, hi, mid)
         return 0.5 * (lo + hi)
 
-    def curve_for(self, x: float) -> Optional[_Curve]:
+    def subordinate(self, x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(omega, inside) per component: the mask of the x strictly inside it
+        (and inside no earlier one) and their subordination points."""
+        seen = np.zeros(x.shape, dtype=bool)
         for curve in self.curves:
-            if curve.x_lo < x < curve.x_hi:
-                return curve
-        return None
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        for curve in self.curves:
-            inside = (x > curve.x_lo) & (x < curve.x_hi)
+            inside = (x > curve.x_lo) & (x < curve.x_hi) & ~seen
             if not np.any(inside):
                 continue
-            u = self.solve_u(x[inside], curve)
-            omega = self.curve_point(u)
-            out[inside] = np.maximum(-self.g_mu(omega).imag / math.pi, 0.0)
-        return out
+            seen |= inside
+            yield self.curve_point(self.solve_u(x[inside], curve)), inside
 
 
 def _power_atoms(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
@@ -318,10 +332,11 @@ class FreePowerResult:
     def density(self, x) -> np.ndarray | float:
         """Absolutely continuous density; 0 outside the support interior."""
         scalar = np.isscalar(x)
-        if self._kernel is None:
-            out = np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float)))
-        else:
-            out = self._kernel.density(x)
+        xq = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros_like(xq)
+        if self._kernel is not None:
+            for omega, inside in self._kernel.subordinate(xq):
+                out[inside] = np.maximum(-self._kernel.g_mu(omega).imag / math.pi, 0.0)
         return float(out[0]) if scalar else out
 
     def subordination(self, x) -> np.ndarray | complex:
@@ -332,12 +347,8 @@ class FreePowerResult:
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(xq.shape, dtype=complex)
         seen = np.zeros(xq.shape, dtype=bool)
-        for curve in self._kernel.curves:
-            inside = (xq > curve.x_lo) & (xq < curve.x_hi) & ~seen
-            if not np.any(inside):
-                continue
-            u = self._kernel.solve_u(xq[inside], curve)
-            out[inside] = self._kernel.curve_point(u)
+        for omega, inside in self._kernel.subordinate(xq):
+            out[inside] = omega
             seen |= inside
         if not np.all(seen):
             raise DomainError("x must lie strictly inside an a.c. support component")
@@ -390,50 +401,36 @@ class FreePowerResult:
 
 def h_transform(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex, complex]:
     """H(z) and H'(z) for the subordination system of the T-th power."""
-    if T <= 1.0:
-        raise DomainError("H is defined for powers T > 1")
-    tau, _ = moments(mu)
-    rho = nevanlinna_rho(mu)
+    kernel = _PowerKernel(mu, T)
     z = complex(z)
-    if z.imag == 0.0 and rho.n_atoms and np.min(
-            np.abs(rho.positions - z.real)) < 1e-12 * max(1.0, abs(z.real)):
+    if z.imag == 0.0 and kernel.beta.size and np.min(
+            np.abs(kernel.beta - z.real)) < 1e-12 * max(1.0, abs(z.real)):
         raise DomainError("H has a pole at this real point")
-    dz = z - rho.positions
-    h = z + (T - 1.0) * (tau + complex(np.sum(rho.weights / dz)))
-    hp = 1.0 - (T - 1.0) * complex(np.sum(rho.weights / dz**2))
-    return h, hp
+    return kernel.h_pair(z)
 
 
 def b_set(mu: AtomicMeasure, T: float) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
     """Maximal open intervals of positive boundary height and the H' roots."""
-    if T <= 1.0:
-        raise DomainError("the boundary set is defined for powers T > 1")
-    kernel = _PowerKernel(mu, T)
-    comps = tuple((c.u_lo, c.u_hi) for c in kernel.curves)
-    roots = tuple(sorted(e for c in kernel.curves for e in (c.u_lo, c.u_hi)))
-    return comps, roots
+    curves = _PowerKernel(mu, T).curves
+    return _bt_components(curves), _boundary_roots(curves)
 
 
 def f_height(mu: AtomicMeasure, T: float, x: float) -> float:
     """Boundary height at x (0 outside the positive-height set)."""
-    if T <= 1.0:
-        raise DomainError("the boundary height is defined for powers T > 1")
-    _, var = moments(mu)
-    if var <= 0.0:
-        return 0.0
-    kernel = _PowerKernel(mu, T)
-    return float(kernel.f_height(np.array([float(x)]))[0])
+    return float(_PowerKernel(mu, T).f_height(np.array([float(x)]))[0])
 
 
 def support_components(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
     """Closed a.c. support intervals of the T-th power (merged, sorted)."""
-    if T <= 1.0:
-        raise DomainError("support analysis is defined for powers T > 1")
-    _, var = moments(mu)
-    if var <= 0.0:
-        return ()
-    kernel = _PowerKernel(mu, T)
-    return _merge_components(kernel.curves)[0]
+    return free_power(mu, T, mass_check=False).support_components
+
+
+def _bt_components(curves: Sequence[_Curve]) -> tuple[tuple[float, float], ...]:
+    return tuple((c.u_lo, c.u_hi) for c in curves)
+
+
+def _boundary_roots(curves: Sequence[_Curve]) -> tuple[float, ...]:
+    return tuple(sorted(e for c in curves for e in (c.u_lo, c.u_hi)))
 
 
 def _merge_components(curves: Sequence[_Curve]) -> tuple[
@@ -462,28 +459,19 @@ def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ..
 
 def subordination(mu: AtomicMeasure, T: float, x: float) -> complex:
     """Subordination point w with H(w) = x, Im w > 0, for x inside the a.c. support."""
-    if T <= 1.0:
-        raise DomainError("subordination is defined for powers T > 1")
-    kernel = _PowerKernel(mu, T)
-    curve = kernel.curve_for(float(x))
-    if curve is None:
-        raise DomainError("x must lie strictly inside an a.c. support component")
-    u = float(kernel.solve_u(np.array([float(x)]), curve)[0])
-    return complex(kernel.curve_point(np.array([u]))[0])
+    return free_power(mu, T, mass_check=False).subordination(float(x))
 
 
 def density(mu: AtomicMeasure, T: float, x) -> np.ndarray | float:
     """Density of the a.c. part of the T-th power at x (0 outside)."""
-    if T < 1.0:
-        raise DomainError("powers are defined for T >= 1")
-    scalar = np.isscalar(x)
-    _, var = moments(mu)
-    if T == 1.0 or var <= 0.0:
-        out = np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float)))
-        return float(out[0]) if scalar else out
-    kernel = _PowerKernel(mu, T)
-    out = kernel.density(x)
-    return float(out[0]) if scalar else out
+    return free_power(mu, T, mass_check=False).density(x)
+
+
+def _open_upper(z: complex) -> complex:
+    z = complex(z)
+    if z.imag <= 0:
+        raise DomainError("z must lie in the open upper half plane")
+    return z
 
 
 def power_cauchy_pair(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex, complex]:
@@ -494,49 +482,9 @@ def power_cauchy_pair(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex,
     of mu at w.  Verification utility for the linearization identity; the
     support machinery never requires it.
     """
-    if T <= 1.0:
-        raise DomainError("defined for powers T > 1")
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("z must lie in the open upper half plane")
-    tau, _ = moments(mu)
-    rho = nevanlinna_rho(mu)
-    beta, c = rho.positions, rho.weights
-
-    def h_pair(w: complex) -> tuple[complex, complex]:
-        dw = w - beta
-        h = w + (T - 1.0) * (tau + complex(np.sum(c / dw)))
-        hp = 1.0 - (T - 1.0) * complex(np.sum(c / dw**2))
-        return h, hp
-
-    w = z - (T - 1.0) * tau   # exact for |z| -> inf
-    if w.imag <= 0:
-        w = complex(w.real, z.imag)
-    hval, hder = h_pair(w)
-    resid = abs(hval - z)
-    tol = 1e-12 * max(1.0, abs(z))
-    for _ in range(200):
-        if resid < tol:
-            break
-        if hder == 0:
-            raise ConvergenceError("critical point hit while inverting H")
-        step = (hval - z) / hder
-        scale = 1.0
-        for _ in range(60):
-            cand = w - scale * step
-            if cand.imag > 0:
-                cval, cder = h_pair(cand)
-                cres = abs(cval - z)
-                if cres < resid:
-                    w, hval, hder, resid = cand, cval, cder, cres
-                    break
-            scale *= 0.5
-        else:
-            raise ConvergenceError("damped Newton stalled while inverting H")
-    else:
-        raise ConvergenceError("failed to invert H at the requested point")
-    g = complex(np.sum(mu.weights / (w - mu.positions)))
-    return g, 1.0 / g
+    kernel = _PowerKernel(mu, T)
+    z = _open_upper(z)
+    return cauchy_pair(mu, kernel.invert_h(z, 1e-12 * max(1.0, abs(z))))
 
 
 def power_voiculescu(mu: AtomicMeasure, T: float, z: complex, tol: float = 1e-12) -> complex:
@@ -548,76 +496,20 @@ def power_voiculescu(mu: AtomicMeasure, T: float, z: complex, tol: float = 1e-12
     Verification utility with the same supported regime as
     :func:`freecontract.measures.voiculescu_transform`.
     """
-    if T <= 1.0:
-        raise DomainError("defined for powers T > 1")
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("z must lie in the open upper half plane")
-    tau, _ = moments(mu)
-    rho = nevanlinna_rho(mu)
-    beta, c = rho.positions, rho.weights
+    kernel = _PowerKernel(mu, T)
+    z = _open_upper(z)
     xs, ws = mu.positions, mu.weights
 
-    def f_and_deriv(w: complex) -> tuple[complex, complex]:
-        # omega(w): invert H by its own damped Newton
-        omega = w - (T - 1.0) * tau
-        if omega.imag <= 0:
-            omega = complex(omega.real, w.imag)
-        for _ in range(200):
-            dw = omega - beta
-            h = omega + (T - 1.0) * (tau + complex(np.sum(c / dw)))
-            hp = 1.0 - (T - 1.0) * complex(np.sum(c / dw**2))
-            if abs(h - w) < 1e-13 * max(1.0, abs(w)):
-                break
-            if hp == 0:
-                raise ConvergenceError("critical point hit while inverting H")
-            step = (h - w) / hp
-            scale = 1.0
-            while scale > 1e-18:
-                cand = omega - scale * step
-                if cand.imag > 0:
-                    dc = cand - beta
-                    hc = cand + (T - 1.0) * (tau + complex(np.sum(c / dc)))
-                    if abs(hc - w) < abs(h - w):
-                        omega = cand
-                        break
-                scale *= 0.5
-            else:
-                raise ConvergenceError("damped Newton stalled while inverting H")
-        else:
-            raise ConvergenceError("failed to invert H")
+    def f_pair(w: complex) -> tuple[complex, complex]:
+        omega = kernel.invert_h(w, 1e-13 * max(1.0, abs(w)))
         dz = omega - xs
         g = complex(np.sum(ws / dz))
         gp = complex(-np.sum(ws / dz**2))
-        f_val = 1.0 / g
-        dw_beta = omega - beta
-        hp = 1.0 - (T - 1.0) * complex(np.sum(c / dw_beta**2))
-        f_der = (-gp / (g * g)) / hp
-        return f_val, f_der
+        _, hp = kernel.h_pair(omega)
+        return 1.0 / g, (-gp / (g * g)) / hp
 
-    w = z
-    fval, fder = f_and_deriv(w)
-    resid = abs(fval - z)
-    for _ in range(200):
-        if resid < tol:
-            return w - z
-        if fder == 0:
-            break
-        step = (fval - z) / fder
-        scale = 1.0
-        for _ in range(60):
-            cand = w - scale * step
-            if cand.imag > 0:
-                cval, cder = f_and_deriv(cand)
-                cres = abs(cval - z)
-                if cres < resid:
-                    w, fval, fder, resid = cand, cval, cder, cres
-                    break
-            scale *= 0.5
-        else:
-            break
-    raise ConvergenceError("Newton iteration for the power inverse transform "
-                           "did not converge; z is outside the supported regime")
+    return damped_newton(f_pair, z, z, tol, "inverting the power's F; "
+                         "z is outside the supported regime") - z
 
 
 def free_power(mu: AtomicMeasure, T: float, mass_check: bool = True) -> FreePowerResult:
@@ -657,13 +549,13 @@ def free_power(mu: AtomicMeasure, T: float, mass_check: bool = True) -> FreePowe
     kernel = _PowerKernel(mu, T)
     comps, masses = _merge_components(kernel.curves)
     atoms = _power_atoms(mu, T)
-    roots = tuple(sorted(e for c in kernel.curves for e in (c.u_lo, c.u_hi)))
+    roots = _boundary_roots(kernel.curves)
     result = FreePowerResult(
         T=float(T),
         support_components=comps,
         ac_masses=masses,
         atoms=atoms,
-        bt_components=tuple((c.u_lo, c.u_hi) for c in kernel.curves),
+        bt_components=_bt_components(kernel.curves),
         boundary_roots=roots,
         x3=comps[-1][1],
         x4=roots[-1],
@@ -671,7 +563,7 @@ def free_power(mu: AtomicMeasure, T: float, mass_check: bool = True) -> FreePowe
     )
     if mass_check:
         total = result.ac_mass + result.atomic_mass
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:   # a NaN mass fails too
             raise ConvergenceError(
                 f"mass conservation violated: a.c. {result.ac_mass:.9f} + atomic "
                 f"{result.atomic_mass:.9f} = {total:.9f}"

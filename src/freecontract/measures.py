@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .rootfind import bisect_newton
+from .rootfind import bisect_newton, damped_newton
 
 MERGE_TOL = 1e-12   # positions closer than this collapse to one atom
 MASS_TOL = 1e-12    # relative bookkeeping slack on total mass
@@ -106,12 +106,16 @@ def make_measure(pairs: Iterable[tuple[float, float]]) -> AtomicMeasure:
 
 
 def moments(mu: AtomicMeasure) -> tuple[float, float]:
-    """Mean and variance of a probability measure."""
+    """Mean and variance of a probability measure.
+
+    The variance is the centred sum of w*(x - mean)^2, which keeps its
+    digits when the mean is large against the spread.
+    """
     if not mu.is_probability():
         raise DomainError("moments are defined for probability measures (total mass 1)")
     mean = float(mu.weights @ mu.positions)
-    variance = float(mu.weights @ mu.positions**2) - mean * mean
-    return mean, max(variance, 0.0)
+    variance = float(mu.weights @ (mu.positions - mean) ** 2)
+    return mean, variance
 
 
 def cauchy_pair(mu: AtomicMeasure, z: complex) -> tuple[complex, complex]:
@@ -181,37 +185,14 @@ def voiculescu_transform(mu: AtomicMeasure, z: complex, tol: float = 1e-12) -> c
     z = complex(z)
     xs, ws = mu.positions, mu.weights
 
-    def f_and_deriv(w: complex) -> tuple[complex, complex]:
+    def f_pair(w: complex) -> tuple[complex, complex]:
         inv = 1.0 / (w - xs)
         g = complex(np.sum(ws * inv))
         gp = complex(-np.sum(ws * inv * inv))
         return 1.0 / g, -gp / (g * g)
 
-    w = z
-    fval, fder = f_and_deriv(w)
-    resid = abs(fval - z)
-    for _ in range(200):
-        if resid < tol:
-            return w - z
-        if fder == 0:
-            break
-        step = (fval - z) / fder
-        scale = 1.0
-        for _ in range(60):
-            cand = w - scale * step
-            if cand.imag > 0:
-                cval, cder = f_and_deriv(cand)
-                cres = abs(cval - z)
-                if cres < resid:
-                    w, fval, fder, resid = cand, cval, cder, cres
-                    break
-            scale *= 0.5
-        else:
-            break
-    raise ConvergenceError(
-        "Newton iteration for the inverse transform did not converge; "
-        "z is outside the supported regime"
-    )
+    return damped_newton(f_pair, z, z, tol,
+                         "inverting F; z is outside the supported regime") - z
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +252,11 @@ class HermitianSpec:
 
     @property
     def mean(self) -> float:
-        return float((self.multiplicities / self.k) @ self.eigenvalues)
+        return moments(self.measure())[0]
 
     @property
     def variance(self) -> float:
-        second = float((self.multiplicities / self.k) @ self.eigenvalues**2)
-        return max(second - self.mean**2, 0.0)
+        return moments(self.measure())[1]
 
     @property
     def sigma(self) -> float:

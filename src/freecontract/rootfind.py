@@ -1,15 +1,20 @@
-"""Bracketed scalar root finding.
+"""Scalar root finding.
 
 Every real root used in this package has a guaranteed sign-change bracket,
-so the solvers here are bisection-first (unconditionally convergent) with
-an optional Newton polish that is never allowed to leave the bracket.
+so the real solvers here are bisection-first (unconditionally convergent)
+with an optional Newton polish that is never allowed to leave the bracket.
 Endpoints are never evaluated: brackets may conceptually start at a pole,
 so only midpoints are probed.
+
+Complex equations (inverting analytic maps on the upper half plane) go
+through one damped Newton iteration, :func:`damped_newton`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
+
+from .errors import ConvergenceError
 
 
 def bisect(
@@ -68,25 +73,40 @@ def bisect_newton(
     return x
 
 
-def bisect_monotone(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    increasing: bool,
-    iterations: int = 80,
-    residual_tol: Optional[float] = None,
-) -> float:
-    """Solve f(x) = target for monotone f on a bracket containing the root."""
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def damped_newton(
+    pair: Callable[[complex], tuple[complex, complex]],
+    target: complex,
+    w0: complex,
+    tol: float,
+    what: str,
+) -> complex:
+    """Solve f(w) = target in the open upper half plane by damped Newton.
+
+    `pair(w)` returns (f(w), f'(w)).  Each Newton step is halved (at most 60
+    times) until it stays in the upper half plane and lowers the residual
+    |f(w) - target|; the iterate is returned once the residual is below
+    `tol`.  A zero derivative, a step that cannot be damped into descent,
+    or 200 steps without convergence raise ConvergenceError naming `what`.
+    """
+    w = complex(w0)
+    val, der = pair(w)
+    resid = abs(val - target)
+    for _ in range(200):
+        if resid < tol:
+            return w
+        if der == 0:
             break
-        val = f(mid)
-        if residual_tol is not None and abs(val - target) < residual_tol:
-            return mid
-        if (val < target) == increasing:
-            lo = mid
+        step = (val - target) / der
+        scale = 1.0
+        for _ in range(60):
+            cand = w - scale * step
+            if cand.imag > 0:
+                cval, cder = pair(cand)
+                cres = abs(cval - target)
+                if cres < resid:
+                    w, val, der, resid = cand, cval, cder, cres
+                    break
+            scale *= 0.5
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            break
+    raise ConvergenceError(f"damped Newton did not converge while {what}")

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .freepower import free_power
 from .measures import HermitianSpec
 from .rng import STREAM_PROBES, stream
@@ -61,6 +61,20 @@ def tnorm_exact(spec: HermitianSpec, t: float) -> float:
     return t * result.extent()
 
 
+def _upper_terms(spec: HermitianSpec, t: float) -> tuple[float, Optional[float]]:
+    """Edge expression of the upper bound and the largest eigenvalue whose
+    multiplicity exceeds k*(1-t) (None when no multiplicity does)."""
+    spread = 2.0 * spec.sigma * math.sqrt(t * (1.0 - t))
+    edge = max(
+        abs(t * lv + sg * spread + (1.0 - t) * spec.mean)
+        for lv in (spec.lminus, spec.lplus)
+        for sg in (-1.0, 1.0)
+    )
+    heavy = spec.multiplicities > spec.k * (1.0 - t)
+    xi_dom = float(np.max(spec.eigenvalues[heavy])) if np.any(heavy) else None
+    return edge, xi_dom
+
+
 def upper_bound(spec: HermitianSpec, t: float) -> tuple[float, bool]:
     """Main closed-form upper bound and whether an atom term entered it.
 
@@ -68,21 +82,10 @@ def upper_bound(spec: HermitianSpec, t: float) -> tuple[float, bool]:
     masses and the bound becomes the maximum of the edge expression and
     the largest eigenvalue whose multiplicity is that big.
     """
-    t = _check_t(t)
-    tau, sigma = spec.mean, spec.sigma
-    spread = 2.0 * sigma * math.sqrt(t * (1.0 - t))
-    edge = max(
-        abs(t * lv + sg * spread + (1.0 - t) * tau)
-        for lv in (spec.lminus, spec.lplus)
-        for sg in (-1.0, 1.0)
-    )
-    atom_dominated = bool(np.max(spec.multiplicities) > spec.k * (1.0 - t))
-    if atom_dominated:
-        xi_dom = float(np.max(
-            spec.eigenvalues[spec.multiplicities > spec.k * (1.0 - t)]
-        ))
-        return max(xi_dom, edge), True
-    return edge, False
+    edge, xi_dom = _upper_terms(spec, _check_t(t))
+    if xi_dom is None:
+        return edge, False
+    return max(xi_dom, edge), True
 
 
 def lower_bound(spec: HermitianSpec, t: float, L: float) -> float:
@@ -163,16 +166,7 @@ def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
     upper, atom_dominated = upper_bound(spec, t)
     report_abs: Optional[float] = None
     if atom_dominated:
-        xi_dom = float(np.max(
-            spec.eigenvalues[spec.multiplicities > spec.k * (1.0 - t)]
-        ))
-        tau = spec.mean
-        spread = 2.0 * spec.sigma * math.sqrt(t * (1.0 - t))
-        edge = max(
-            abs(t * lv + sg * spread + (1.0 - t) * tau)
-            for lv in (spec.lminus, spec.lplus)
-            for sg in (-1.0, 1.0)
-        )
+        edge, xi_dom = _upper_terms(spec, t)
         report_abs = max(abs(xi_dom), edge)
     lower = kargin = None
     if all_bounds:
@@ -253,5 +247,6 @@ def kkt_membership(
         if margin > worst_margin:
             worst_margin = margin
             worst_probe = probe_arr
-    assert worst_probe is not None
+    if worst_probe is None:
+        raise ConvergenceError("every probe margin is NaN")
     return worst_margin <= MEMBERSHIP_TOL, worst_margin, worst_probe

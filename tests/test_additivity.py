@@ -197,17 +197,6 @@ class TestScan:
         assert rs[0] == 1.0 and rs[-1] < 2.0
         assert HEADLINE_R == pytest.approx(rs[387], abs=1e-12)
 
-    def test_thread_parallelism_preserves_order(self, monkeypatch):
-        ks = k_grid(2e4, 5e4, 6)
-        rs = r_grid(1.3, 1.5, 0.02)
-        rows_seq, summary_seq = scan_violation(ks, rs)
-        monkeypatch.setenv("FREECONTRACT_THREADS", "4")
-        rows_par, summary_par = scan_violation(ks, rs)
-        assert summary_seq == summary_par
-        for a, b in zip(rows_seq, rows_par):
-            assert (a.k, a.r) == (b.k, b.r)
-            assert a.g == b.g or (math.isnan(a.g) and math.isnan(b.g))
-
 
 class TestContour:
     def test_segments_track_zero_level(self):

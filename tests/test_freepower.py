@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, seeded
-from freecontract.errors import DomainError
+from freecontract.errors import ConvergenceError, DomainError
 from freecontract.freepower import (
     atoms_of_power,
     b_set,
@@ -109,6 +109,32 @@ class TestSupportComponents:
             (lo, hi), = support_components(mu, T)
             assert lo == pytest.approx(T - 2 * math.sqrt(T - 1), abs=1e-9)
             assert hi == pytest.approx(T + 2 * math.sqrt(T - 1), abs=1e-9)
+
+
+    @pytest.mark.parametrize("c", [1e3, 1e6, 1e8])
+    def test_shift_equivariance_at_large_offsets(self, c):
+        # the centred variance keeps the offset spectrum {c, c+1} usable
+        base = [(0.0, 0.5), (1.0, 0.5)]
+        mu_c = make_measure([(x + c, w) for x, w in base])
+        for T in (1.5, 2.0, 4.0):
+            ref = support_components(make_measure(base), T)
+            got = support_components(mu_c, T)
+            assert len(got) == len(ref)
+            for (lo, hi), (lo0, hi0) in zip(got, ref):
+                assert abs(lo - (lo0 + T * c)) <= 1e-14 * T * c
+                assert abs(hi - (hi0 + T * c)) <= 1e-14 * T * c
+
+    def test_offset_power_never_returns_a_wrong_mass(self):
+        # at T = 2 the arcsine edges sit on the atoms; at this offset edge
+        # nodes round onto them and the mass is lost (NaN): that must be an
+        # error, not a value
+        mu = make_measure([(1e6, 0.5), (1e6 + 1.0, 0.5)])
+        for T in (1.5, 2.0, 4.0):
+            try:
+                result = free_power(mu, T)
+            except ConvergenceError:
+                continue
+            assert abs(result.ac_mass + result.atomic_mass - 1.0) <= 1e-6
 
 
 class TestAtoms:
@@ -330,6 +356,22 @@ class TestHardGeometries:
         (lo, hi), = result.support_components
         assert hi == pytest.approx(2 * math.sqrt(3) * 1e4, abs=1e-4)
         assert lo == pytest.approx(-hi, abs=1e-4)
+
+
+class TestTransformsSkipComponentLocation:
+    def test_pointwise_transforms_never_locate_components(self, bernoulli, monkeypatch):
+        # H, its inverse and the power's transforms need only the moments
+        # and rho; the component geometry is built on first use
+        from freecontract import freepower
+
+        def refuse(self):
+            raise AssertionError("component geometry was located")
+
+        monkeypatch.setattr(freepower._PowerKernel, "curves", property(refuse))
+        freepower.h_transform(bernoulli, 4.0, 0.3 + 0.2j)
+        freepower.f_height(bernoulli, 4.0, 0.5)
+        freepower.power_cauchy_pair(bernoulli, 2.0, 1.0 + 1.5j)
+        freepower.power_voiculescu(bernoulli, 2.0, 10j)
 
 
 class TestPowerCauchyPair:

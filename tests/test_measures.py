@@ -69,6 +69,13 @@ class TestMoments:
         assert mean == pytest.approx(1.0)
         assert var == pytest.approx(1.0)
 
+    def test_offset_keeps_variance(self):
+        # E[x^2] - mean^2 would cancel to 0 at this offset
+        mean, var = moments(make_measure([(1e8, 0.5), (1e8 + 1.0, 0.5)]))
+        assert (mean, var) == (1e8 + 0.5, 0.25)
+        spec = HermitianSpec(2, np.array([1e8, 1e8 + 1.0]), np.array([1, 1]))
+        assert (spec.mean, spec.variance) == (1e8 + 0.5, 0.25)
+
     def test_requires_probability(self):
         heavy = AtomicMeasure(np.array([0.0]), np.array([2.0]), 2.0)
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_nonneg_spec, seeded
-from freecontract.errors import DomainError
+from freecontract.errors import ConvergenceError, DomainError
 from freecontract.measures import HermitianSpec
 from freecontract.tnorm import (
     default_probes,
@@ -71,6 +71,13 @@ class TestUpperBound:
             bound, dominated = upper_bound(spec, t)
             assert dominated
             assert bound == pytest.approx(0.7, abs=1e-12)
+
+    def test_offset_spectrum_bound_holds(self):
+        # E[x^2] - mean^2 cancels to 0 here; the centred variance keeps 1/4
+        spec = HermitianSpec(2, np.array([1e8, 1e8 + 1.0]), np.array([1, 1]))
+        exact = tnorm_exact(spec, 0.25)
+        assert exact == pytest.approx(1e8 + (2.0 + SQRT3) / 4.0, abs=1e-6)
+        assert upper_bound(spec, 0.25)[0] >= exact
 
     def test_dominated_flag_threshold(self):
         # multiplicity 2 of 4 dominates iff 2 > 4(1-t), i.e. t > 1/2
@@ -210,6 +217,12 @@ class TestMembership:
         lam = np.array([1.0, 0.0])
         _, margin, _ = kkt_membership(lam, 0.5, [lam])
         assert abs(margin) < 1e-9
+
+    def test_all_nan_margins_raise(self, monkeypatch):
+        from freecontract import tnorm
+        monkeypatch.setattr(tnorm, "tnorm_exact", lambda spec, t: math.nan)
+        with pytest.raises(ConvergenceError):
+            kkt_membership([0.5, 0.5], 0.5, [[0.5, 0.5], [1.0, 0.0]])
 
     def test_malformed_point_rejected(self):
         with pytest.raises(DomainError):
