@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qchannel import QuantumState, binary_entropy, entropy
+from .qchannel import QuantumState, binary_entropy, concentration_radius, entropy
 
 # computed slab lower bounds carry ~1e-17 absolute rounding error, so values
 # below this floor are indistinguishable from the degenerate case l = 0
@@ -75,11 +75,6 @@ def _u_excess(k: int, t: float) -> float:
     return t * (1.0 - 2.0 / k) + 2.0 * math.sqrt((t / k) * (1.0 - 1.0 / k) * (1.0 - t))
 
 
-def concentration_radius(k: int, t: float) -> float:
-    """t * (1 + 2*sqrt((1-t)/(t*k))): the sampled-output L2 radius."""
-    return t * (1.0 + 2.0 * math.sqrt((1.0 - t) / (t * k)))
-
-
 def taylor_lower_f(k: int, t: float) -> float:
     """Second-order entropy lower bound f(k, t) for single-channel outputs.
 
@@ -94,6 +89,11 @@ def taylor_lower_f(k: int, t: float) -> float:
     return math.fsum([math.log(k), -correction])
 
 
+def _product_terms(k: int, t: float) -> tuple[float, float]:
+    """The two terms 2*(1-t)*log(k) and h(t) of the product bound."""
+    return 2.0 * (1.0 - t) * math.log(k), binary_entropy(t)
+
+
 def product_bound(k: int, t: float) -> float:
     """Upper bound 2*(1-t)*log(k) + h(t) on the product channel's minimum
     output entropy (asserted for t >= k^-2; smaller t is flagged)."""
@@ -103,7 +103,8 @@ def product_bound(k: int, t: float) -> float:
         raise DomainError("need t in (0, 1]")
     if t < k**-2.0:
         raise DomainError("the product bound is asserted for t >= 1/k^2")
-    return 2.0 * (1.0 - t) * math.log(k) + binary_entropy(t)
+    log_term, h_term = _product_terms(k, t)
+    return log_term + h_term
 
 
 def hastings_gap(state: QuantumState) -> tuple[float, float]:
@@ -147,9 +148,9 @@ def gap_g(k: int, r: float) -> ViolationReport:
         raise DomainError("need r in [1, 2)")
     t = float(k) ** (-r)
     f_val = taylor_lower_f(k, t)
-    pb = 2.0 * (1.0 - t) * math.log(k) + binary_entropy(t)
-    g = math.fsum([2.0 * (1.0 - t) * math.log(k), binary_entropy(t), -2.0 * f_val])
-    return ViolationReport(k=int(k), r=r, t=t, g=g, product_bound=pb,
+    log_term, h_term = _product_terms(k, t)
+    g = math.fsum([log_term, h_term, -2.0 * f_val])
+    return ViolationReport(k=int(k), r=r, t=t, g=g, product_bound=log_term + h_term,
                            single_lower=f_val, violated=g < 0.0)
 
 
@@ -158,9 +159,9 @@ def _gap_or_nan(k: int, r: float) -> ViolationReport:
         return gap_g(k, r)
     except DomainError:
         t = float(k) ** (-r)
+        log_term, h_term = _product_terms(k, t)
         return ViolationReport(k=int(k), r=float(r), t=t, g=math.nan,
-                               product_bound=2.0 * (1.0 - t) * math.log(k)
-                               + binary_entropy(t),
+                               product_bound=log_term + h_term,
                                single_lower=math.nan, violated=False)
 
 

@@ -19,8 +19,8 @@ x = H(u + i f(u)) is -Im G(u + i f(u)) / pi with G the Cauchy transform of
 mu.  Point masses survive at T*x exactly when mu({x}) > 1 - 1/T, with mass
 T*mu({x}) - (T-1).
 
-All real roots come from guaranteed sign-change brackets (bisection plus a
-bracket-confined Newton polish); component masses use adaptive Gauss
+All real roots come from guaranteed sign-change brackets, solved together
+by one vectorized bisection; component masses use adaptive Gauss
 panels in the curve parameter with the edge-taming substitution
 u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the square-root edge
 behavior of the density becomes smooth.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .measures import AtomicMeasure, cauchy_pair, moments, nevanlinna_rho
-from .rootfind import bisect_newton, damped_newton
+from .rootfind import bisect, blockwise, damped_newton
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
@@ -78,17 +78,14 @@ class _PowerKernel:
 
     # -- pointwise building blocks -------------------------------------
 
-    def psi(self, x: float) -> float:
-        with np.errstate(divide="ignore"):
-            return float(np.sum(self.c / (self.beta - x) ** 2))
+    def psi(self, x: np.ndarray) -> np.ndarray:
+        """sum_j c_j/(b_j - x)^2 for each x."""
+        return (self.c / (self.beta - x[:, None]) ** 2).sum(axis=1)
 
-    def psi_prime(self, x: float) -> float:
-        with np.errstate(divide="ignore"):
-            return float(np.sum(2.0 * self.c / (self.beta - x) ** 3))
-
-    def psi_second(self, x: float) -> float:
-        with np.errstate(divide="ignore"):
-            return float(np.sum(6.0 * self.c / (self.beta - x) ** 4))
+    def psi_prime(self, x: np.ndarray) -> np.ndarray:
+        """sum_j 2 c_j/(b_j - x)^3 for each x."""
+        d = self.beta - x[:, None]
+        return (2.0 * self.c / (d * d * d)).sum(axis=1)
 
     def h(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -124,21 +121,18 @@ class _PowerKernel:
     def f_height(self, u: np.ndarray) -> np.ndarray:
         """Vectorized boundary height; exactly 0 outside B."""
         u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            inside = np.sum(self.c[:, None] / (self.beta[:, None] - u[None, :]) ** 2,
-                            axis=0) > self.s
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, self.f_cap * (1.0 + 1e-12) + 1e-300)
-        d2 = (self.beta[:, None] - u[None, :]) ** 2
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            val = np.sum(self.c[:, None] / (d2 + mid[None, :] ** 2), axis=0)
-            grow = val > self.s
-            lo = np.where(grow, mid, lo)
-            hi = np.where(grow, hi, mid)
-        out = 0.5 * (lo + hi)
-        out[~inside] = 0.0
-        return out
+        with np.errstate(divide="ignore"):   # u may sit on a rho atom
+            inside = self.psi(u) > self.s
+        # outside B the bracket [0, 0] is collapsed from the start
+        hi = np.where(inside, self.f_cap * (1.0 + 1e-12) + 1e-300, 0.0)
+        # (atoms x points): many points over few atoms sum fastest by rows
+        d2 = (self.beta[:, None] - u) ** 2
+        c = self.c[:, None]
+
+        def above(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return (c / (d2.take(idx, axis=1) + f * f)).sum(axis=0) > self.s
+
+        return bisect(above, np.zeros_like(u), hi, self.beta.size)
 
     def curve_point(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -154,43 +148,30 @@ class _PowerKernel:
         """Maximal intervals of B with their image intervals and a.c. masses."""
         if self.var <= 0.0:
             raise DomainError("subordination machinery needs a measure with positive variance")
-        beta, s = self.beta, self.s
+        beta, s, m = self.beta, self.s, self.beta.size
         reach = self.f_cap + 1.0   # B lies within reach of the rho atoms
-        edges: list[float] = []
-
-        def height_gap(x: float) -> float:
-            return self.psi(x) - s
-
-        # outermost edges: psi crosses s once on each side of the atoms
-        edges.append(bisect_newton(height_gap, self.psi_prime,
-                                   beta[0] - reach, float(beta[0]),
-                                   lo_positive=False, bisect_iterations=80))
-        for j in range(beta.size - 1):
-            lo, hi = float(beta[j]), float(beta[j + 1])
-            # psi is strictly convex between consecutive poles: a unique
-            # minimum decides whether the component splits here
-            xstar = bisect_newton(self.psi_prime, self.psi_second, lo, hi,
-                                  lo_positive=False, bisect_iterations=80)
-            if self.psi(xstar) < s:
-                edges.append(bisect_newton(height_gap, self.psi_prime, lo, xstar,
-                                           lo_positive=True, bisect_iterations=80))
-                edges.append(bisect_newton(height_gap, self.psi_prime, xstar, hi,
-                                           lo_positive=False, bisect_iterations=80))
-        edges.append(bisect_newton(height_gap, self.psi_prime,
-                                   float(beta[-1]), beta[-1] + reach,
-                                   lo_positive=True, bisect_iterations=80))
-        edges.sort()
-        if len(edges) % 2:
-            raise ConvergenceError("component edges do not pair up")
+        lo, hi = beta[:-1], beta[1:]
+        # psi is strictly convex between consecutive poles: its minimum
+        # decides whether the component splits in that gap
+        xstar = bisect(lambda x, _: self.psi_prime(x) <= 0.0, lo, hi, m)
+        split = blockwise(self.psi, m, xstar) < s
+        # psi rises through s at the k left edges (left of all atoms and at
+        # the right end of every split gap) and falls through s at the k
+        # right edges: a root lies above x where psi(x) <= s on a rising
+        # edge and where psi(x) > s on a falling one
+        k = 1 + np.count_nonzero(split)
+        rising = np.arange(2 * k) < k
+        edges = bisect(lambda x, idx: (self.psi(x) > s) != rising[idx],
+                       np.r_[beta[0] - reach, xstar[split], lo[split], beta[-1]],
+                       np.r_[beta[0], hi[split], xstar[split], beta[-1] + reach], m)
+        u_lo, u_hi = edges[:k], edges[k:]
         curves = []
-        for i in range(0, len(edges), 2):
-            u_lo, u_hi = edges[i], edges[i + 1]
-            if not np.any((self.beta > u_lo) & (self.beta < u_hi)):
+        for a, b in zip(u_lo.tolist(), u_hi.tolist()):
+            if not np.any((beta > a) & (beta < b)):
                 raise ConvergenceError("a located component contains no rho atom")
-            x_lo = float(self.h(np.array([u_lo + 0j]))[0].real)
-            x_hi = float(self.h(np.array([u_hi + 0j]))[0].real)
-            mass = self._component_mass(u_lo, u_hi)
-            curves.append(_Curve(u_lo, u_hi, x_lo, x_hi, mass))
+            x_lo = float(self.h(np.array([a + 0j]))[0].real)
+            x_hi = float(self.h(np.array([b + 0j]))[0].real)
+            curves.append(_Curve(a, b, x_lo, x_hi, self._component_mass(a, b)))
         return curves
 
     # -- quadrature --------------------------------------------------------
@@ -258,15 +239,9 @@ class _PowerKernel:
     def solve_u(self, x: np.ndarray, curve: _Curve) -> np.ndarray:
         """Invert x = H(u + i f(u)) on one component by monotone bisection."""
         x = np.asarray(x, dtype=float)
-        lo = np.full_like(x, curve.u_lo)
-        hi = np.full_like(x, curve.u_hi)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            val = self.x_of_u(mid)
-            low = val < x
-            lo = np.where(low, mid, lo)
-            hi = np.where(low, hi, mid)
-        return 0.5 * (lo + hi)
+        return bisect(lambda u, idx: self.x_of_u(u) < x[idx],
+                      np.full_like(x, curve.u_lo), np.full_like(x, curve.u_hi),
+                      self.beta.size)
 
     def subordinate(self, x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(omega, inside) per component: the mask of the x strictly inside it
@@ -278,15 +253,6 @@ class _PowerKernel:
                 continue
             seen |= inside
             yield self.curve_point(self.solve_u(x[inside], curve)), inside
-
-
-def _power_atoms(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
-    thr = 1.0 - 1.0 / T
-    return tuple(
-        (T * float(x), T * float(w) - (T - 1.0))
-        for x, w in zip(mu.positions, mu.weights)
-        if w > thr
-    )
 
 
 @dataclass(frozen=True)
@@ -452,9 +418,12 @@ def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ..
     """Point masses of the T-th power: (T*x, T*w - (T-1)) where w > 1 - 1/T."""
     if T < 1.0:
         raise DomainError("powers are defined for T >= 1")
-    if T == 1.0:
-        return tuple((float(x), float(w)) for x, w in zip(mu.positions, mu.weights))
-    return _power_atoms(mu, T)
+    thr = 1.0 - 1.0 / T
+    return tuple(
+        (T * float(x), T * float(w) - (T - 1.0))
+        for x, w in zip(mu.positions, mu.weights)
+        if w > thr
+    )
 
 
 def subordination(mu: AtomicMeasure, T: float, x: float) -> complex:
@@ -523,24 +492,13 @@ def free_power(mu: AtomicMeasure, T: float, mass_check: bool = True) -> FreePowe
         raise DomainError("powers are defined for probability measures")
     if T < 1.0:
         raise DomainError("powers are defined for T >= 1 only")
-    if T == 1.0:
-        return FreePowerResult(
-            T=1.0,
-            support_components=(),
-            ac_masses=(),
-            atoms=tuple((float(x), float(w)) for x, w in zip(mu.positions, mu.weights)),
-            bt_components=(),
-            boundary_roots=(),
-            x3=None,
-            x4=None,
-        )
-    if mu.n_atoms == 1:
-        pos = float(mu.positions[0])
+    if T == 1.0 or mu.n_atoms == 1:
+        # no a.c. part: mu itself, or the moved point mass T*x of mass 1
         return FreePowerResult(
             T=float(T),
             support_components=(),
             ac_masses=(),
-            atoms=((T * pos, 1.0),),
+            atoms=atoms_of_power(mu, T),
             bt_components=(),
             boundary_roots=(),
             x3=None,
@@ -548,13 +506,12 @@ def free_power(mu: AtomicMeasure, T: float, mass_check: bool = True) -> FreePowe
         )
     kernel = _PowerKernel(mu, T)
     comps, masses = _merge_components(kernel.curves)
-    atoms = _power_atoms(mu, T)
     roots = _boundary_roots(kernel.curves)
     result = FreePowerResult(
         T=float(T),
         support_components=comps,
         ac_masses=masses,
-        atoms=atoms,
+        atoms=atoms_of_power(mu, T),
         bt_components=_bt_components(kernel.curves),
         boundary_roots=roots,
         x3=comps[-1][1],

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .rootfind import bisect_newton, damped_newton
+from .rootfind import bisect, blockwise, damped_newton
 
 MERGE_TOL = 1e-12   # positions closer than this collapse to one atom
 MASS_TOL = 1e-12    # relative bookkeeping slack on total mass
@@ -149,23 +149,12 @@ def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
     if not mu.is_probability():
         raise DomainError("rho is defined for probability measures")
     xs, ws = mu.positions, mu.weights
-    m = xs.size
-    if m == 1:
-        return AtomicMeasure(np.empty(0), np.empty(0), 0.0)
-
-    def g(x: float) -> float:
-        return float(np.sum(ws / (x - xs)))
-
-    def gprime(x: float) -> float:
-        return float(-np.sum(ws / (x - xs) ** 2))
-
-    betas = np.empty(m - 1)
-    for i in range(m - 1):
-        # G decreases from +inf to -inf across (xs[i], xs[i+1]); endpoints
-        # sit on poles so the bracket is probed only at midpoints.
-        betas[i] = bisect_newton(g, gprime, xs[i], xs[i + 1], lo_positive=True,
-                                 bisect_iterations=70)
-    cs = 1.0 / np.sum(ws / (betas[:, None] - xs[None, :]) ** 2, axis=1)
+    # G decreases from +inf to -inf across each gap (xs[i], xs[i+1]), so its
+    # zero lies above x exactly when G(x) > 0; the endpoints sit on poles.
+    betas = bisect(lambda x, _: (ws / (x[:, None] - xs)).sum(axis=1) > 0.0,
+                   xs[:-1], xs[1:], xs.size)
+    cs = 1.0 / blockwise(lambda b: (ws / (b[:, None] - xs) ** 2).sum(axis=1),
+                         xs.size, betas)
     _, variance = moments(mu)
     if abs(float(cs.sum()) - variance) > 1e-10 * max(1.0, variance):
         raise ConvergenceError("rho mass does not match the variance")

@@ -212,6 +212,11 @@ def sample_output_spectra(ch: ChannelInstance, count: int, seed: int) -> np.ndar
     return _output_spectra_batch(ch, stream(seed, STREAM_INPUTS), count)
 
 
+def concentration_radius(k: int, t: float) -> float:
+    """t * (1 + 2*sqrt((1-t)/(t*k))): the sampled-output L2 radius."""
+    return t * (1.0 + 2.0 * math.sqrt((1.0 - t) / (t * k)))
+
+
 @dataclass(frozen=True)
 class ConcentrationStat:
     """Largest sampled L2 distance to the maximally mixed state vs the bound."""
@@ -240,8 +245,8 @@ def concentration_stat(ch: ChannelInstance, count: int, seed: int) -> Concentrat
                       "reporting the formula value anyway", stacklevel=2)
     spectra = _output_spectra_batch(ch, stream(seed, STREAM_INPUTS), count)
     l2 = np.sqrt(np.sum((spectra - 1.0 / ch.k) ** 2, axis=1))
-    bound = t * (1.0 + 2.0 * math.sqrt((1.0 - t) / (t * ch.k)))
-    return ConcentrationStat(max_l2=float(np.max(l2)), bound=float(bound),
+    return ConcentrationStat(max_l2=float(np.max(l2)),
+                             bound=concentration_radius(ch.k, t),
                              regime_ok=regime_ok)
 
 

@@ -1,10 +1,9 @@
-"""Scalar root finding.
+"""Root finding.
 
 Every real root used in this package has a guaranteed sign-change bracket,
-so the real solvers here are bisection-first (unconditionally convergent)
-with an optional Newton polish that is never allowed to leave the bracket.
-Endpoints are never evaluated: brackets may conceptually start at a pole,
-so only midpoints are probed.
+so all of them come from one vectorized bisection, :func:`bisect`, which
+solves a whole array of brackets at once.  Endpoints are never evaluated:
+brackets may start at a pole, so only midpoints are probed.
 
 Complex equations (inverting analytic maps on the upper half plane) go
 through one damped Newton iteration, :func:`damped_newton`.
@@ -14,63 +13,68 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConvergenceError
+
+# Bisection steps per bracket.  A bracket stops as soon as its midpoint
+# equals an endpoint, after about 52 + log2(width/|root|) steps; only roots
+# at or next to 0 run to the cap, which leaves a bracket 2**-80 times its
+# starting width.
+MAX_STEPS = 80
+# Elements per evaluation block: a (rows x atoms) temporary holds at most
+# this many numbers (512 KiB of float64, small enough to stay in cache),
+# whatever the number of rows.
+BLOCK_ELEMENTS = 2**16
+
+
+def blockwise(fn: Callable[..., np.ndarray], width: int, *rows: np.ndarray) -> np.ndarray:
+    """fn applied to row blocks of equally long arrays, the results
+    concatenated; `width` is the number of atoms fn pairs with each row,
+    and a block holds at most BLOCK_ELEMENTS // width rows."""
+    n = len(rows[0])
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    if n <= step:
+        return fn(*rows)
+    return np.concatenate([fn(*(r[i:i + step] for r in rows))
+                           for i in range(0, n, step)])
 
 
 def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    lo_positive: bool,
-    iterations: int = 60,
-) -> tuple[float, float]:
-    """Shrink a sign-change bracket [lo, hi] by bisection.
+    above: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """Roots of an array of brackets [lo, hi] by simultaneous bisection.
 
-    `lo_positive` states the sign of f on the lo side; the endpoints
-    themselves are never evaluated (either may sit on a pole of f).
-    Returns the final bracket.
+    `above(x, idx)` says, for the midpoints `x` of the brackets numbered
+    `idx`, whether each bracket's root lies above its midpoint; it is
+    called on row blocks (see :func:`blockwise`) with `width` atoms per
+    row.  A bracket stops once its midpoint equals an endpoint, or after
+    MAX_STEPS steps; the midpoint of each final bracket is returned.
+    Division by zero inside `above` is silenced (an underflowing distance
+    to a pole gives inf, which still has the right sign).
     """
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) > 0.0) == lo_positive:
-            lo = mid
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    idx = np.arange(lo.size)
+    a, b = lo, hi
+    with np.errstate(divide="ignore"):
+        for _ in range(MAX_STEPS):
+            mid = 0.5 * (a + b)
+            moving = (a < mid) & (mid < b)
+            if np.count_nonzero(moving) < idx.size:
+                lo[idx], hi[idx] = a, b
+                idx, a, b, mid = idx[moving], a[moving], b[moving], mid[moving]
+            if not idx.size:
+                break
+            up = blockwise(above, width, mid, idx)
+            a = np.where(up, mid, a)
+            b = np.where(up, b, mid)
         else:
-            hi = mid
-    return lo, hi
-
-
-def bisect_newton(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
-    lo: float,
-    hi: float,
-    lo_positive: bool,
-    bisect_iterations: int = 60,
-    newton_iterations: int = 4,
-) -> float:
-    """Bisection followed by a bracket-confined Newton polish.
-
-    The bisection phase certifies the root to ~(hi-lo)*2**-60; the Newton
-    steps only sharpen the last digits and are rejected whenever they leave
-    the certified bracket.
-    """
-    lo, hi = bisect(f, lo, hi, lo_positive, bisect_iterations)
-    x = 0.5 * (lo + hi)
-    for _ in range(newton_iterations):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        dfx = fprime(x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        cand = x - step
-        if not (lo < cand < hi):
-            break
-        x = cand
-    return x
+            lo[idx], hi[idx] = a, b
+    return 0.5 * (lo + hi)
 
 
 def damped_newton(

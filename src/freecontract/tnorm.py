@@ -172,9 +172,10 @@ def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
     if all_bounds:
         if spec.lminus >= 0.0:
             lower = lower_bound(spec, t, spec.lplus if L is None else L)
-        n = round(1.0 / t)
-        if n >= 1 and abs(1.0 / t - n) <= 1e-9 and spec.variance > 0.0:
+        try:
             kargin = kargin_bound(spec, t)
+        except DomainError:
+            pass
     return TNormReport(
         t=t,
         exact=exact,

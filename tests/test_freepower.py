@@ -154,6 +154,12 @@ class TestAtoms:
         atoms = atoms_of_power(make_measure([(0.4, 1.0)]), 3.0)
         assert atoms == ((pytest.approx(1.2), pytest.approx(1.0)),)
 
+    def test_one_atom_power_keeps_exact_unit_mass(self):
+        T = 1.0 / 0.37
+        result = free_power(make_measure([(0.4, 1.0)]), T)
+        assert result.atoms == ((T * 0.4, 1.0),)
+        assert result.atomic_mass == 1.0
+
 
 class TestSubordination:
     def test_bernoulli_T2_center(self, bernoulli):
