@@ -23,7 +23,8 @@ All real roots come from guaranteed sign-change brackets, solved together
 by one vectorized bisection; component masses use adaptive Gauss
 panels in the curve parameter with the edge-taming substitution
 u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the square-root edge
-behavior of the density becomes smooth.
+behavior of the density becomes smooth.  The support geometry is all a
+norm needs, so masses and CDF tables are integrated only when first read.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .rootfind import bisect, blockwise, damped_newton
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
+_PANEL_TOL = 1e-10        # adaptive quadrature: accepted panel-pair change
+_MAX_LEVEL = 16           # adaptive quadrature: panel halvings
 _COMPONENT_MERGE_TOL = 1e-10
 _CDF_GRID = 8193          # trapezoid nodes per component for CDF tables
 
@@ -53,14 +56,14 @@ class _Curve:
     u_hi: float
     x_lo: float
     x_hi: float
-    mass: float
 
 
 class _PowerKernel:
-    """Subordination data for one (mu, T > 1) pair.
+    """Subordination data for one (mu, T > 1) pair, built in cached layers.
 
     Construction computes only the moments and rho; the component geometry
-    (`curves`) is located on first use.
+    (`curves`) is located on first use, and the a.c. masses (`masses`) and
+    CDF tables (`cdf_tables`) of the components on first read.
     """
 
     def __init__(self, mu: AtomicMeasure, T: float):
@@ -138,14 +141,11 @@ class _PowerKernel:
         u = np.asarray(u, dtype=float)
         return u + 1j * self.f_height(u)
 
-    def x_of_u(self, u: np.ndarray) -> np.ndarray:
-        return self.h(self.curve_point(u)).real
-
     # -- component geometry ----------------------------------------------
 
     @cached_property
     def curves(self) -> list[_Curve]:
-        """Maximal intervals of B with their image intervals and a.c. masses."""
+        """Maximal intervals of B with their image support intervals."""
         if self.var <= 0.0:
             raise DomainError("subordination machinery needs a measure with positive variance")
         beta, s, m = self.beta, self.s, self.beta.size
@@ -171,13 +171,25 @@ class _PowerKernel:
                 raise ConvergenceError("a located component contains no rho atom")
             x_lo = float(self.h(np.array([a + 0j]))[0].real)
             x_hi = float(self.h(np.array([b + 0j]))[0].real)
-            curves.append(_Curve(a, b, x_lo, x_hi, self._component_mass(a, b)))
+            curves.append(_Curve(a, b, x_lo, x_hi))
         return curves
+
+    @cached_property
+    def masses(self) -> list[float]:
+        """Absolutely continuous mass of each curve's component."""
+        return [self._component_mass(c.u_lo, c.u_hi) for c in self.curves]
+
+    @cached_property
+    def cdf_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(x grid, cumulative a.c. mass) along each curve's component."""
+        return [self._cdf_table(c) for c in self.curves]
 
     # -- quadrature --------------------------------------------------------
 
-    def _mass_integrand(self, theta: np.ndarray, u_lo: float, u_hi: float) -> np.ndarray:
-        """Density times dx/dtheta along the boundary curve.
+    def _on_curve(self, theta: np.ndarray, u_lo: float,
+                  u_hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Curve points w at u = u_lo + (u_hi - u_lo)*sin(theta)^2 and the
+        density times dx/dtheta there.
 
         dx/du = |H'(w)|^2 / Re H'(w) on the curve; at the component edges
         H' -> 0 and the integrand vanishes.
@@ -192,27 +204,27 @@ class _PowerKernel:
         re_hp = hp.real
         safe = re_hp > 0.0
         xprime = np.where(safe, np.abs(hp) ** 2 / np.where(safe, re_hp, 1.0), 0.0)
-        return dens * xprime * du
+        return omega, dens * xprime * du
 
-    def _component_mass(self, u_lo: float, u_hi: float,
-                        tol: float = 1e-10, max_level: int = 16) -> float:
+    def _component_mass(self, u_lo: float, u_hi: float) -> float:
         def panel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             mid = 0.5 * (a + b)[:, None]
             half = 0.5 * (b - a)[:, None]
             pts = mid + half * _GAUSS_NODES[None, :]
-            vals = self._mass_integrand(pts.ravel(), u_lo, u_hi).reshape(pts.shape)
+            vals = blockwise(lambda th: self._on_curve(th, u_lo, u_hi)[1],
+                             self.beta.size, pts.ravel()).reshape(pts.shape)
             return (vals @ _GAUSS_WEIGHTS) * half[:, 0]
 
         a = np.array([0.0])
         b = np.array([0.5 * math.pi])
         coarse = panel(a, b)
         total = 0.0
-        for _ in range(max_level):
+        for _ in range(_MAX_LEVEL):
             mid = 0.5 * (a + b)
             left = panel(a, mid)
             right = panel(mid, b)
             refined = left + right
-            done = np.abs(refined - coarse) <= tol / max(len(a), 1)
+            done = np.abs(refined - coarse) <= _PANEL_TOL / max(len(a), 1)
             total += float(np.sum(refined[done]))
             keep = ~done
             if not np.any(keep):
@@ -222,14 +234,17 @@ class _PowerKernel:
             coarse = np.concatenate([left[keep], right[keep]])
         return total + float(np.sum(coarse))
 
-    def cdf_table(self, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
-        """(x grid, cumulative a.c. mass) along one component."""
+    def _cdf_table(self, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
+        """Trapezoid table of the cumulative a.c. mass against x; each node
+        solves its curve point once for both x = Re H(w) and the integrand."""
+        def nodes(theta: np.ndarray) -> np.ndarray:
+            omega, vals = self._on_curve(theta, curve.u_lo, curve.u_hi)
+            return np.column_stack([self.h(omega).real, vals])
+
         theta = np.linspace(0.0, 0.5 * math.pi, _CDF_GRID)
-        vals = self._mass_integrand(theta[1:-1], curve.u_lo, curve.u_hi)
-        vals = np.concatenate([[0.0], vals, [0.0]])   # integrand vanishes at edges
-        width = curve.u_hi - curve.u_lo
-        u = curve.u_lo + width * np.sin(theta) ** 2
-        xs = self.x_of_u(u)
+        table = blockwise(nodes, self.beta.size, theta)
+        xs, vals = table[:, 0], table[:, 1]
+        vals[[0, -1]] = 0.0   # the integrand vanishes at the edges
         step = theta[1] - theta[0]
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
         return xs, cum
@@ -239,7 +254,7 @@ class _PowerKernel:
     def solve_u(self, x: np.ndarray, curve: _Curve) -> np.ndarray:
         """Invert x = H(u + i f(u)) on one component by monotone bisection."""
         x = np.asarray(x, dtype=float)
-        return bisect(lambda u, idx: self.x_of_u(u) < x[idx],
+        return bisect(lambda u, idx: self.h(self.curve_point(u)).real < x[idx],
                       np.full_like(x, curve.u_lo), np.full_like(x, curve.u_hi),
                       self.beta.size)
 
@@ -257,27 +272,40 @@ class _PowerKernel:
 
 @dataclass(frozen=True)
 class FreePowerResult:
-    """Support decomposition of a fractional convolution power.
+    """Support decomposition of a fractional convolution power, a view over
+    its subordination kernel.
 
     `support_components` are the closed a.c. support intervals (adjacent
-    intervals merged when their endpoints coincide within 1e-10),
-    `ac_masses` the matching absolutely continuous masses, `atoms` the
-    surviving point masses, `bt_components` the open intervals where the
-    boundary height is positive, and `boundary_roots` the real critical
+    intervals merged when their endpoints coincide within 1e-10), `atoms`
+    the surviving point masses, `bt_components` the open intervals where
+    the boundary height is positive, and `boundary_roots` the real critical
     points of H (the endpoints of those intervals).  `x3`/`x4` are the
     rightmost support edge and rightmost critical point (None when there
-    is no a.c. part).
+    is no a.c. part).  The matching a.c. masses (`ac_masses`) and the CDF
+    tables are integrated on first read.
     """
 
     T: float
     support_components: tuple[tuple[float, float], ...]
-    ac_masses: tuple[float, ...]
     atoms: tuple[tuple[float, float], ...]
     bt_components: tuple[tuple[float, float], ...]
     boundary_roots: tuple[float, ...]
     x3: Optional[float]
     x4: Optional[float]
     _kernel: Optional[_PowerKernel] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def ac_masses(self) -> tuple[float, ...]:
+        """Absolutely continuous mass of each support component; raises
+        ConvergenceError unless atomic plus a.c. mass is 1 within 1e-6."""
+        kernel = self._kernel
+        masses = () if kernel is None else tuple(
+            sum(kernel.masses[span]) for span in _merge_spans(kernel.curves))
+        ac, atomic = sum(masses), self.atomic_mass
+        if not abs(ac + atomic - 1.0) <= _MASS_TOL:   # a NaN mass fails too
+            raise ConvergenceError(f"mass conservation violated: a.c. {ac:.9f} + "
+                                   f"atomic {atomic:.9f} = {ac + atomic:.9f}")
+        return masses
 
     @property
     def ac_mass(self) -> float:
@@ -325,9 +353,8 @@ class FreePowerResult:
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xq)
-        if self._kernel is not None:
-            for curve in self._kernel.curves:
-                xs, cum = self._kernel.cdf_table(curve)
+        if self.ac_masses:   # the first read integrates and checks the masses
+            for xs, cum in self._kernel.cdf_tables:
                 out += np.interp(xq, xs, cum, left=0.0, right=cum[-1])
         if self.atoms:
             pos = np.array([p for p, _ in self.atoms])
@@ -348,16 +375,11 @@ class FreePowerResult:
             "x3": self.x3,
             "x4": self.x4,
         }
+        xs = p = np.empty(0)
         if density_grid and self.support_components:
-            lo = self.support_components[0][0]
-            hi = self.support_components[-1][1]
-            xs = np.linspace(lo, hi, density_grid)
-            obj["density_table"] = {
-                "x": [float(v) for v in xs],
-                "p": [float(v) for v in np.atleast_1d(self.density(xs))],
-            }
-        else:
-            obj["density_table"] = {"x": [], "p": []}
+            xs = np.linspace(self.support_components[0][0], self.x3, density_grid)
+            p = self.density(xs)
+        obj["density_table"] = {"x": xs.tolist(), "p": p.tolist()}
         return obj
 
 
@@ -388,7 +410,7 @@ def f_height(mu: AtomicMeasure, T: float, x: float) -> float:
 
 def support_components(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
     """Closed a.c. support intervals of the T-th power (merged, sorted)."""
-    return free_power(mu, T, mass_check=False).support_components
+    return free_power(mu, T).support_components
 
 
 def _bt_components(curves: Sequence[_Curve]) -> tuple[tuple[float, float], ...]:
@@ -399,19 +421,12 @@ def _boundary_roots(curves: Sequence[_Curve]) -> tuple[float, ...]:
     return tuple(sorted(e for c in curves for e in (c.u_lo, c.u_hi)))
 
 
-def _merge_components(curves: Sequence[_Curve]) -> tuple[
-    tuple[tuple[float, float], ...], tuple[float, ...]
-]:
-    merged: list[list[float]] = []
-    masses: list[float] = []
-    for c in curves:
-        if merged and c.x_lo - merged[-1][1] <= _COMPONENT_MERGE_TOL:
-            merged[-1][1] = c.x_hi
-            masses[-1] += c.mass
-        else:
-            merged.append([c.x_lo, c.x_hi])
-            masses.append(c.mass)
-    return tuple((a, b) for a, b in merged), tuple(masses)
+def _merge_spans(curves: Sequence[_Curve]) -> list[slice]:
+    """The curves of each support component: a curve joins the previous
+    component when its image starts within 1e-10 of where that one ends."""
+    starts = [i for i in range(len(curves))
+              if i == 0 or curves[i].x_lo - curves[i - 1].x_hi > _COMPONENT_MERGE_TOL]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(curves)])]
 
 
 def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
@@ -428,12 +443,12 @@ def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ..
 
 def subordination(mu: AtomicMeasure, T: float, x: float) -> complex:
     """Subordination point w with H(w) = x, Im w > 0, for x inside the a.c. support."""
-    return free_power(mu, T, mass_check=False).subordination(float(x))
+    return free_power(mu, T).subordination(float(x))
 
 
 def density(mu: AtomicMeasure, T: float, x) -> np.ndarray | float:
     """Density of the a.c. part of the T-th power at x (0 outside)."""
-    return free_power(mu, T, mass_check=False).density(x)
+    return free_power(mu, T).density(x)
 
 
 def _open_upper(z: complex) -> complex:
@@ -481,48 +496,31 @@ def power_voiculescu(mu: AtomicMeasure, T: float, z: complex, tol: float = 1e-12
                          "z is outside the supported regime") - z
 
 
-def free_power(mu: AtomicMeasure, T: float, mass_check: bool = True) -> FreePowerResult:
-    """Full support decomposition of the T-th free convolution power.
+def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
+    """Support decomposition of the T-th free convolution power.
 
-    T = 1 repackages mu; a single-atom measure short-circuits to the shifted
-    point mass.  With `mass_check` the atomic plus quadrature a.c. mass must
-    reproduce 1 within 1e-6, otherwise a ConvergenceError is raised.
+    Only the geometry is located here: T = 1 repackages mu and a one-atom
+    measure gives the moved point mass, both with no a.c. part.  The a.c.
+    masses are integrated when `ac_masses` (or `ac_mass`, `to_json`, `cdf`)
+    is first read, which raises ConvergenceError unless the atomic plus a.c.
+    mass reproduces 1 within 1e-6.
     """
     if not mu.is_probability():
         raise DomainError("powers are defined for probability measures")
     if T < 1.0:
         raise DomainError("powers are defined for T >= 1 only")
-    if T == 1.0 or mu.n_atoms == 1:
-        # no a.c. part: mu itself, or the moved point mass T*x of mass 1
-        return FreePowerResult(
-            T=float(T),
-            support_components=(),
-            ac_masses=(),
-            atoms=atoms_of_power(mu, T),
-            bt_components=(),
-            boundary_roots=(),
-            x3=None,
-            x4=None,
-        )
-    kernel = _PowerKernel(mu, T)
-    comps, masses = _merge_components(kernel.curves)
-    roots = _boundary_roots(kernel.curves)
-    result = FreePowerResult(
+    kernel = None if T == 1.0 or mu.n_atoms == 1 else _PowerKernel(mu, T)
+    curves = kernel.curves if kernel is not None else []
+    comps = tuple((curves[span][0].x_lo, curves[span][-1].x_hi)
+                  for span in _merge_spans(curves))
+    roots = _boundary_roots(curves)
+    return FreePowerResult(
         T=float(T),
         support_components=comps,
-        ac_masses=masses,
         atoms=atoms_of_power(mu, T),
-        bt_components=_bt_components(kernel.curves),
+        bt_components=_bt_components(curves),
         boundary_roots=roots,
-        x3=comps[-1][1],
-        x4=roots[-1],
+        x3=comps[-1][1] if comps else None,
+        x4=roots[-1] if roots else None,
         _kernel=kernel,
     )
-    if mass_check:
-        total = result.ac_mass + result.atomic_mass
-        if not abs(total - 1.0) <= _MASS_TOL:   # a NaN mass fails too
-            raise ConvergenceError(
-                f"mass conservation violated: a.c. {result.ac_mass:.9f} + atomic "
-                f"{result.atomic_mass:.9f} = {total:.9f}"
-            )
-    return result

@@ -57,7 +57,7 @@ def support_bounds(spec: HermitianSpec, T: float) -> tuple[float, float]:
 def tnorm_exact(spec: HermitianSpec, t: float) -> float:
     """Exact norm: t times the support extent of the (1/t)-th power."""
     t = _check_t(t)
-    result = free_power(spec.measure(), 1.0 / t, mass_check=False)
+    result = free_power(spec.measure(), 1.0 / t)
     return t * result.extent()
 
 

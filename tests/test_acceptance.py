@@ -223,7 +223,7 @@ def test_criterion_10_subordination_and_linearization():
         rng = seeded(606, trial)
         mu = random_measure(rng, spread=0.8)
         T = float(rng.uniform(1.3, 5.0))
-        result = free_power(mu, T, mass_check=False)
+        result = free_power(mu, T)
         total_width = sum(hi - lo for lo, hi in result.support_components)
         xs = []
         for lo, hi in result.support_components:

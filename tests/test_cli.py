@@ -71,6 +71,31 @@ class TestPowerCommand:
         assert len(obj["density_table"]["x"]) == 50
 
 
+class TestLostMass:
+    # at T = 2 the edges of {1e6, 1e6 + 1} round onto the atoms and the
+    # a.c. mass is lost: the power refuses it, the norm needs no mass
+
+    def test_power_refuses_and_writes_nothing(self, tmp_path, capsys):
+        measure = tmp_path / "offset.json"
+        measure.write_text(json.dumps(
+            {"atoms": [{"x": 1e6, "w": 0.5}, {"x": 1e6 + 1.0, "w": 0.5}]}))
+        out = tmp_path / "p.json"
+        code = main(["power", "--measure", str(measure), "--T", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "mass conservation violated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_norm_of_the_same_power_succeeds(self, tmp_path):
+        spec = tmp_path / "offset_spec.json"
+        spec.write_text(json.dumps(
+            {"k": 2, "eigs": [{"xi": 1e6, "d": 1}, {"xi": 1e6 + 1.0, "d": 1}]}))
+        out = tmp_path / "report.json"
+        code = main(["tnorm", "--spec", str(spec), "--t", "0.5", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["exact"] == 1000001.0
+
+
 class TestMeasureCommand:
     def test_rho_of_bernoulli(self, bernoulli_measure_path, tmp_path):
         out = tmp_path / "rho.json"

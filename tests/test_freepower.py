@@ -132,9 +132,10 @@ class TestSupportComponents:
         for T in (1.5, 2.0, 4.0):
             try:
                 result = free_power(mu, T)
+                total = result.ac_mass + result.atomic_mass
             except ConvergenceError:
                 continue
-            assert abs(result.ac_mass + result.atomic_mass - 1.0) <= 1e-6
+            assert abs(total - 1.0) <= 1e-6
 
 
 class TestAtoms:
@@ -296,7 +297,7 @@ class TestStructuralInvariants:
             mu = make_measure([(x + shift, w) for x, w in mu.atoms])
             _, var = moments(mu)
             for T in (1.5, 4.0):
-                result = free_power(mu, T, mass_check=False)
+                result = free_power(mu, T)
                 assert result.x4 >= math.sqrt(var * (T - 1.0)) - 1e-10
 
     def test_lipschitz_on_boundary_curve(self):
@@ -304,7 +305,7 @@ class TestStructuralInvariants:
         rng = seeded(99, 0)
         mu = random_measure(rng)
         T = 2.5
-        result = free_power(mu, T, mass_check=False)
+        result = free_power(mu, T)
         kernel = result._kernel
         for lo, hi in result.bt_components:
             us = rng.uniform(lo, hi, 12)
@@ -319,7 +320,7 @@ class TestStructuralInvariants:
     def test_subordination_injective_ordered(self):
         rng = seeded(101, 3)
         mu = random_measure(rng)
-        result = free_power(mu, 2.0, mass_check=False)
+        result = free_power(mu, 2.0)
         lo, hi = result.support_components[0]
         xs = np.linspace(lo, hi, 40)[1:-1]
         om = result.subordination(xs)
@@ -378,6 +379,75 @@ class TestTransformsSkipComponentLocation:
         freepower.f_height(bernoulli, 4.0, 0.5)
         freepower.power_cauchy_pair(bernoulli, 2.0, 1.0 + 1.5j)
         freepower.power_voiculescu(bernoulli, 2.0, 10j)
+
+
+class TestLazyMasses:
+    # the norm, support, density and subordination read only the geometry;
+    # component masses and CDF tables are integrated on first read, once
+
+    def test_geometry_paths_never_integrate(self, bernoulli, bernoulli_spec,
+                                            monkeypatch, tmp_path):
+        from freecontract import cli, freepower, tnorm
+
+        def refuse(self, u_lo, u_hi):
+            raise AssertionError("a component mass was integrated")
+
+        monkeypatch.setattr(freepower._PowerKernel, "_component_mass", refuse)
+        assert tnorm.tnorm_exact(bernoulli_spec, 0.25) == pytest.approx(SQRT3 / 2, abs=1e-9)
+        tnorm.tnorm_report(bernoulli_spec, 0.5)
+        assert len(support_components(bernoulli, 4.0)) == 1
+        density(bernoulli, 2.0, np.array([-0.5, 0.0, 0.5]))
+        subordination(bernoulli, 2.0, 0.3)
+        b_set(bernoulli, 1.5)
+        tnorm.kkt_membership([0.5, 0.5], 0.5, tnorm.default_probes(2, count=3))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"k": 2, "eigs": [{"xi": -1.0, "d": 1}, {"xi": 1.0, "d": 1}]}')
+        assert cli.main(["tnorm", "--spec", str(spec_path), "--t", "0.25",
+                         "--out", str(tmp_path / "report.json")]) == 0
+
+    def test_each_curve_integrated_once(self, monkeypatch):
+        from freecontract import freepower
+
+        calls = []
+        integrate = freepower._PowerKernel._component_mass
+
+        def counting(self, u_lo, u_hi):
+            calls.append((u_lo, u_hi))
+            return integrate(self, u_lo, u_hi)
+
+        monkeypatch.setattr(freepower._PowerKernel, "_component_mass", counting)
+        mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
+        result = free_power(mu, 1.05)
+        assert calls == []
+        for _ in range(2):
+            assert result.to_json()["ac_masses"] == list(result.ac_masses)
+            assert result.ac_mass == pytest.approx(1.0 - result.atomic_mass, abs=1e-6)
+            assert result.cdf(10.0) == pytest.approx(1.0, abs=1e-6)
+        assert sorted(calls) == sorted(result.bt_components)
+        assert len(calls) == 2
+
+    def test_cdf_table_cached_and_blocked(self, monkeypatch):
+        import tracemalloc
+
+        from freecontract import freepower
+
+        m = 256
+        mu = make_measure([(x, 1.0 / m) for x in np.linspace(-1.0, 1.0, m)])
+        result = free_power(mu, 4.0)
+        xs = np.linspace(-3.0, 3.0, 10)
+        tracemalloc.start()
+        try:
+            first = result.cdf(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+        def refuse(self, u):
+            raise AssertionError("the CDF table was rebuilt")
+
+        monkeypatch.setattr(freepower._PowerKernel, "f_height", refuse)
+        assert np.array_equal(result.cdf(xs), first)
 
 
 class TestPowerCauchyPair:
