@@ -37,6 +37,7 @@ from .qchannel import QuantumState, binary_entropy, concentration_radius, entrop
 # computed slab lower bounds carry ~1e-17 absolute rounding error, so values
 # below this floor are indistinguishable from the degenerate case l = 0
 _L_FLOOR = 1e-13
+_SVG_WIDTH, _SVG_HEIGHT = 640, 480   # contour drawing size in pixels
 
 
 def phi_overlap(a: float, b: float) -> float:
@@ -239,14 +240,9 @@ def scan_csv_text(rows: Sequence[ViolationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_scan_csv(rows: Sequence[ViolationReport], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(scan_csv_text(rows))
-
-
-def contour_segments(rows: Sequence[ViolationReport], level: float = 0.0
+def contour_segments(rows: Sequence[ViolationReport]
                      ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Marching-squares line segments of the g = level contour in (log10 k, r).
+    """Marching-squares line segments of the g = 0 contour in (log10 k, r).
 
     Cells touching NaN values are skipped; ambiguous saddle cells are split
     by the mean-value rule.
@@ -269,21 +265,21 @@ def contour_segments(rows: Sequence[ViolationReport], level: float = 0.0
                 continue
             corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
                        (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
-            above = [v > level for v in z]
+            above = [v > 0.0 for v in z]
             if all(above) or not any(above):
                 continue
             crossings = []
             for e in range(4):
                 v0, v1 = z[e], z[(e + 1) % 4]
-                if (v0 > level) != (v1 > level):
-                    frac = (level - v0) / (v1 - v0)
+                if (v0 > 0.0) != (v1 > 0.0):
+                    frac = -v0 / (v1 - v0)
                     p0, p1 = corners[e], corners[(e + 1) % 4]
                     crossings.append((p0[0] + frac * (p1[0] - p0[0]),
                                       p0[1] + frac * (p1[1] - p0[1])))
             if len(crossings) == 2:
                 segments.append((crossings[0], crossings[1]))
             elif len(crossings) == 4:
-                center_above = (sum(z) / 4.0) > level
+                center_above = (sum(z) / 4.0) > 0.0
                 if center_above == above[0]:
                     segments.append((crossings[0], crossings[3]))
                     segments.append((crossings[1], crossings[2]))
@@ -293,9 +289,9 @@ def contour_segments(rows: Sequence[ViolationReport], level: float = 0.0
     return segments
 
 
-def contour_svg(rows: Sequence[ViolationReport],
-                width: int = 640, height: int = 480) -> str:
+def contour_svg(rows: Sequence[ViolationReport]) -> str:
     """Zero contour of the scan as a plain SVG drawing of line segments."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     segments = contour_segments(rows)
     ks = sorted({row.k for row in rows})
     rs = sorted({row.r for row in rows})
@@ -323,9 +319,3 @@ def contour_svg(rows: Sequence[ViolationReport],
                      f'y2="{y2:.2f}" stroke="black" stroke-width="1"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def write_contour_svg(rows: Sequence[ViolationReport], path: str,
-                      width: int = 640, height: int = 480) -> None:
-    with open(path, "w") as fh:
-        fh.write(contour_svg(rows, width, height))

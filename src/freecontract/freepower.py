@@ -19,12 +19,15 @@ x = H(u + i f(u)) is -Im G(u + i f(u)) / pi with G the Cauchy transform of
 mu.  Point masses survive at T*x exactly when mu({x}) > 1 - 1/T, with mass
 T*mu({x}) - (T-1).
 
-All real roots come from guaranteed sign-change brackets, solved together
-by one vectorized bisection; component masses use adaptive Gauss
-panels in the curve parameter with the edge-taming substitution
-u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the square-root edge
-behavior of the density becomes smooth.  The support geometry is all a
-norm needs, so masses and CDF tables are integrated only when first read.
+All real roots of the geometry come from guaranteed sign-change brackets,
+solved together by one vectorized bisection; the height y = f^2 solves its
+secular equation by monotone Newton steps.  Each component is integrated
+once, by a midpoint rule in the curve parameter with the edge-taming
+substitution u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the
+square-root edge behavior of the density becomes smooth: the cumulative
+sums are the component's CDF table and its last entry is the component's
+mass.  The support geometry is all a norm needs, so the tables are built
+only when first read.
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ from .errors import ConvergenceError, DomainError
 from .measures import AtomicMeasure, cauchy_pair, moments, nevanlinna_rho
 from .rootfind import bisect, blockwise, damped_newton
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
-_PANEL_TOL = 1e-10        # adaptive quadrature: accepted panel-pair change
-_MAX_LEVEL = 16           # adaptive quadrature: panel halvings
 _COMPONENT_MERGE_TOL = 1e-10
-_CDF_GRID = 8193          # trapezoid nodes per component for CDF tables
+_CDF_GRID = 8192          # midpoint nodes per component table
+# Newton steps per boundary height.  While a nearby light rho atom dominates
+# S, each step about doubles y, for up to ~53 steps when the other atoms
+# alone sit at the threshold s to within rounding; then it is quadratic.
+_HEIGHT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,9 @@ class _PowerKernel:
     """Subordination data for one (mu, T > 1) pair, built in cached layers.
 
     Construction computes only the moments and rho; the component geometry
-    (`curves`) is located on first use, and the a.c. masses (`masses`) and
-    CDF tables (`cdf_tables`) of the components on first read.
+    (`curves`) is located on first use, and the CDF tables (`cdf_tables`) of
+    the components, whose last entries are the a.c. masses (`masses`), on
+    first read.
     """
 
     def __init__(self, mu: AtomicMeasure, T: float):
@@ -75,9 +80,7 @@ class _PowerKernel:
         rho = nevanlinna_rho(mu)
         self.beta = rho.positions
         self.c = rho.weights
-        self.sigma = math.sqrt(self.var)
         self.s = 1.0 / (self.T - 1.0)
-        self.f_cap = self.sigma * math.sqrt(self.T - 1.0)
 
     # -- pointwise building blocks -------------------------------------
 
@@ -122,20 +125,40 @@ class _PowerKernel:
     # -- boundary height -------------------------------------------------
 
     def f_height(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized boundary height; exactly 0 outside B."""
+        """Vectorized boundary height; exactly 0 outside B.
+
+        y = f^2 solves S(y) = sum_j c_j/(d_j^2 + y) = s with d_j = b_j - u.
+        1/S is increasing and concave in y (Cauchy-Schwarz), so Newton on
+        1/S(y) - 1/s started below the root rises monotonically to it; the
+        start max(0, max_j(c_j/s - d_j^2)) is below the root (each term of S
+        is at most s there) and finite on a rho atom.  A point stops once a
+        step no longer raises its y; outside B that is the first step, from
+        y = 0.  ConvergenceError after _HEIGHT_STEPS steps.
+        """
         u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):   # u may sit on a rho atom
-            inside = self.psi(u) > self.s
-        # outside B the bracket [0, 0] is collapsed from the start
-        hi = np.where(inside, self.f_cap * (1.0 + 1e-12) + 1e-300, 0.0)
         # (atoms x points): many points over few atoms sum fastest by rows
-        d2 = (self.beta[:, None] - u) ** 2
-        c = self.c[:, None]
-
-        def above(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return (c / (d2.take(idx, axis=1) + f * f)).sum(axis=0) > self.s
-
-        return bisect(above, np.zeros_like(u), hi, self.beta.size)
+        d2 = self.beta[:, None] - u
+        d2 *= d2
+        c, s = self.c[:, None], self.s
+        y = (c / s - d2).max(axis=0, initial=0.0)
+        idx, yy = np.arange(u.size), y
+        # with no rho atoms (one-atom mu) the step is 0/0 = NaN, which stops
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_HEIGHT_STEPS):
+                q = np.reciprocal(d2 + yy)
+                r = c * q
+                big_s = r.sum(axis=0)
+                r *= q
+                nxt = yy + big_s * (big_s - s) / (s * r.sum(axis=0))
+                rising = nxt > yy
+                if not rising.all():
+                    y[idx] = yy
+                    idx, d2, nxt = idx[rising], d2[:, rising], nxt[rising]
+                yy = nxt
+                if not idx.size:
+                    return np.sqrt(y)
+        raise ConvergenceError(f"boundary height: Newton still rising after "
+                               f"{_HEIGHT_STEPS} steps at {idx.size} points")
 
     def curve_point(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -149,7 +172,8 @@ class _PowerKernel:
         if self.var <= 0.0:
             raise DomainError("subordination machinery needs a measure with positive variance")
         beta, s, m = self.beta, self.s, self.beta.size
-        reach = self.f_cap + 1.0   # B lies within reach of the rho atoms
+        # B lies within reach of the rho atoms: f <= sqrt(var*(T-1))
+        reach = math.sqrt(self.var * (self.T - 1.0)) + 1.0
         lo, hi = beta[:-1], beta[1:]
         # psi is strictly convex between consecutive poles: its minimum
         # decides whether the component splits in that gap
@@ -175,28 +199,28 @@ class _PowerKernel:
         return curves
 
     @cached_property
-    def masses(self) -> list[float]:
-        """Absolutely continuous mass of each curve's component."""
-        return [self._component_mass(c.u_lo, c.u_hi) for c in self.curves]
-
-    @cached_property
     def cdf_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(x grid, cumulative a.c. mass) along each curve's component."""
         return [self._cdf_table(c) for c in self.curves]
 
+    @property
+    def masses(self) -> list[float]:
+        """Absolutely continuous mass of each curve's component: the last
+        entry of its CDF table."""
+        return [cum[-1] for _, cum in self.cdf_tables]
+
     # -- quadrature --------------------------------------------------------
 
-    def _on_curve(self, theta: np.ndarray, u_lo: float,
-                  u_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    def _on_curve(self, theta: np.ndarray, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
         """Curve points w at u = u_lo + (u_hi - u_lo)*sin(theta)^2 and the
         density times dx/dtheta there.
 
         dx/du = |H'(w)|^2 / Re H'(w) on the curve; at the component edges
         H' -> 0 and the integrand vanishes.
         """
-        width = u_hi - u_lo
+        width = curve.u_hi - curve.u_lo
         sin_t = np.sin(theta)
-        u = u_lo + width * sin_t * sin_t
+        u = curve.u_lo + width * sin_t * sin_t
         du = width * np.sin(2.0 * theta)
         omega = self.curve_point(u)
         dens = -self.g_mu(omega).imag / math.pi
@@ -206,48 +230,24 @@ class _PowerKernel:
         xprime = np.where(safe, np.abs(hp) ** 2 / np.where(safe, re_hp, 1.0), 0.0)
         return omega, dens * xprime * du
 
-    def _component_mass(self, u_lo: float, u_hi: float) -> float:
-        def panel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            mid = 0.5 * (a + b)[:, None]
-            half = 0.5 * (b - a)[:, None]
-            pts = mid + half * _GAUSS_NODES[None, :]
-            vals = blockwise(lambda th: self._on_curve(th, u_lo, u_hi)[1],
-                             self.beta.size, pts.ravel()).reshape(pts.shape)
-            return (vals @ _GAUSS_WEIGHTS) * half[:, 0]
-
-        a = np.array([0.0])
-        b = np.array([0.5 * math.pi])
-        coarse = panel(a, b)
-        total = 0.0
-        for _ in range(_MAX_LEVEL):
-            mid = 0.5 * (a + b)
-            left = panel(a, mid)
-            right = panel(mid, b)
-            refined = left + right
-            done = np.abs(refined - coarse) <= _PANEL_TOL / max(len(a), 1)
-            total += float(np.sum(refined[done]))
-            keep = ~done
-            if not np.any(keep):
-                return total
-            a = np.concatenate([a[keep], mid[keep]])
-            b = np.concatenate([mid[keep], b[keep]])
-            coarse = np.concatenate([left[keep], right[keep]])
-        return total + float(np.sum(coarse))
-
     def _cdf_table(self, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
-        """Trapezoid table of the cumulative a.c. mass against x; each node
-        solves its curve point once for both x = Re H(w) and the integrand."""
+        """Midpoint-rule table of the cumulative a.c. mass against x.
+
+        The nodes theta_i = (i + 1/2)*step never sit on an edge, where mu may
+        have an atom; each solves its curve point once for both x = Re H(w)
+        and the integrand, and is credited with half of its own cell.  The
+        edges (x_lo, 0) and (x_hi, total) bracket the table.
+        """
         def nodes(theta: np.ndarray) -> np.ndarray:
-            omega, vals = self._on_curve(theta, curve.u_lo, curve.u_hi)
+            omega, vals = self._on_curve(theta, curve)
             return np.column_stack([self.h(omega).real, vals])
 
-        theta = np.linspace(0.0, 0.5 * math.pi, _CDF_GRID)
-        table = blockwise(nodes, self.beta.size, theta)
-        xs, vals = table[:, 0], table[:, 1]
-        vals[[0, -1]] = 0.0   # the integrand vanishes at the edges
-        step = theta[1] - theta[0]
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
-        return xs, cum
+        step = 0.5 * math.pi / _CDF_GRID
+        table = blockwise(nodes, self.beta.size, (np.arange(_CDF_GRID) + 0.5) * step)
+        cell = table[:, 1] * step
+        cum = np.cumsum(cell)
+        return (np.r_[curve.x_lo, table[:, 0], curve.x_hi],
+                np.r_[0.0, cum - 0.5 * cell, cum[-1]])
 
     # -- subordination -----------------------------------------------------
 
@@ -281,8 +281,8 @@ class FreePowerResult:
     the boundary height is positive, and `boundary_roots` the real critical
     points of H (the endpoints of those intervals).  `x3`/`x4` are the
     rightmost support edge and rightmost critical point (None when there
-    is no a.c. part).  The matching a.c. masses (`ac_masses`) and the CDF
-    tables are integrated on first read.
+    is no a.c. part).  The CDF tables, whose ends are the matching a.c.
+    masses (`ac_masses`), are integrated on first read.
     """
 
     T: float

@@ -92,17 +92,21 @@ def make_measure(pairs: Iterable[tuple[float, float]]) -> AtomicMeasure:
     if np.any(wts <= 0):
         raise DomainError("atom weights must be positive")
     order = np.argsort(pos, kind="stable")
-    pos, wts = pos[order], wts[order]
-    merged_pos: list[float] = [pos[0]]
-    merged_wts: list[float] = [wts[0]]
+    pos, wts = _merge_sorted(pos[order], wts[order])
+    return AtomicMeasure(pos, wts, float(np.sum(wts)))
+
+
+def _merge_sorted(pos: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted positions within MERGE_TOL of the first one of their run
+    merge into it, with their weights summed."""
+    merged_pos, merged_wts = [pos[0]], [wts[0]]
     for p, w in zip(pos[1:], wts[1:]):
         if p - merged_pos[-1] <= MERGE_TOL:
             merged_wts[-1] += w
         else:
             merged_pos.append(p)
             merged_wts.append(w)
-    wsum = float(np.sum(merged_wts))
-    return AtomicMeasure(np.array(merged_pos), np.array(merged_wts), wsum)
+    return np.array(merged_pos), np.array(merged_wts)
 
 
 def moments(mu: AtomicMeasure) -> tuple[float, float]:
@@ -224,15 +228,8 @@ class HermitianSpec:
         vals = np.sort(np.asarray(values, dtype=float))
         if vals.size == 0:
             raise DomainError("need at least one eigenvalue")
-        xi: list[float] = [float(vals[0])]
-        mult: list[int] = [1]
-        for v in vals[1:]:
-            if v - xi[-1] <= MERGE_TOL:
-                mult[-1] += 1
-            else:
-                xi.append(float(v))
-                mult.append(1)
-        return cls(int(vals.size), np.array(xi), np.array(mult, dtype=int))
+        xi, mult = _merge_sorted(vals, np.ones(vals.size, dtype=int))
+        return cls(int(vals.size), xi, mult)
 
     def measure(self) -> AtomicMeasure:
         """Normalized spectral distribution: weight D_i/k at eigenvalue x_i."""

@@ -72,19 +72,30 @@ class TestPowerCommand:
 
 
 class TestLostMass:
-    # at T = 2 the edges of {1e6, 1e6 + 1} round onto the atoms and the
-    # a.c. mass is lost: the power refuses it, the norm needs no mass
+    # at T = 2 the edges of {c, c + 1} sit on the atoms, known only to
+    # ulp(c): at c = 1e8 the a.c. mass is lost beyond 1e-6 and the power
+    # refuses it; the norm needs no mass
 
     def test_power_refuses_and_writes_nothing(self, tmp_path, capsys):
         measure = tmp_path / "offset.json"
         measure.write_text(json.dumps(
-            {"atoms": [{"x": 1e6, "w": 0.5}, {"x": 1e6 + 1.0, "w": 0.5}]}))
+            {"atoms": [{"x": 1e8, "w": 0.5}, {"x": 1e8 + 1.0, "w": 0.5}]}))
         out = tmp_path / "p.json"
         code = main(["power", "--measure", str(measure), "--T", "2",
                      "--out", str(out)])
         assert code == 2
         assert "mass conservation violated" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_power_at_offset_1e6_conserves_mass(self, tmp_path):
+        measure = tmp_path / "offset.json"
+        measure.write_text(json.dumps(
+            {"atoms": [{"x": 1e6, "w": 0.5}, {"x": 1e6 + 1.0, "w": 0.5}]}))
+        out = tmp_path / "p.json"
+        code = main(["power", "--measure", str(measure), "--T", "2",
+                     "--out", str(out)])
+        assert code == 0
+        assert abs(sum(json.loads(out.read_text())["ac_masses"]) - 1.0) <= 1e-6
 
     def test_norm_of_the_same_power_succeeds(self, tmp_path):
         spec = tmp_path / "offset_spec.json"

@@ -88,6 +88,54 @@ class TestFHeight:
             assert abs(h.imag) < 1e-9
 
 
+class TestFHeightHardInputs:
+    # f = 0 exactly outside B = {psi > s}; inside, f^2 solves the secular
+    # equation (T-1)*sum_j c_j/((b_j-u)^2 + f^2) = 1 to rounding, including
+    # on a rho atom and one ulp beside it
+    MEASURES = {
+        "atoms 1e-9 apart": [(0.0, 0.3), (1e-9, 0.3), (2e-9, 0.1), (1.0, 0.3)],
+        "weight 1e-12": [(-1.0, 0.5), (0.0, 1e-12), (1.0, 0.5 - 1e-12)],
+        "spread 1e12": [(-1e6, 0.25), (0.0, 0.25), (1e-6, 0.25), (1e6, 0.25)],
+    }
+
+    @staticmethod
+    def _points(beta):
+        width = beta[-1] - beta[0] + 1.0
+        pts = [np.linspace(beta[0] - width, beta[-1] + width, 2001)]
+        for b in beta:
+            offsets = np.geomspace(1e-15, 1.0, 30) * max(1.0, abs(b))
+            pts += [[b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf)],
+                    b + offsets, b - offsets]
+        return np.concatenate(pts)
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("T", [1.0 + 1e-6, 2.0, 1e6])
+    def test_zero_outside_and_secular_inside(self, name, T):
+        from freecontract.freepower import _PowerKernel
+
+        kernel = _PowerKernel(make_measure(self.MEASURES[name]), T)
+        u = self._points(kernel.beta)
+        f = kernel.f_height(u)
+        with np.errstate(divide="ignore"):
+            inside = kernel.psi(u) > kernel.s
+        assert np.all(f[~inside] == 0.0)
+        d2 = (kernel.beta - u[inside, None]) ** 2
+        secular = (T - 1.0) * (kernel.c / (d2 + f[inside, None] ** 2)).sum(axis=1)
+        assert np.max(np.abs(secular - 1.0)) <= 1e-12
+        on_atom = np.isin(u, kernel.beta)
+        assert np.all(f[on_atom] > 0.0)
+
+    def test_step_cap_raises(self, monkeypatch):
+        from freecontract import freepower
+
+        kernel = freepower._PowerKernel(make_measure(self.MEASURES["spread 1e12"]), 2.0)
+        u = self._points(kernel.beta)
+        kernel.f_height(u)
+        monkeypatch.setattr(freepower, "_HEIGHT_STEPS", 1)
+        with pytest.raises(ConvergenceError):
+            kernel.f_height(u)
+
+
 class TestSupportComponents:
     def test_bernoulli_T4(self, bernoulli):
         comps = support_components(bernoulli, 4.0)
@@ -125,9 +173,9 @@ class TestSupportComponents:
                 assert abs(hi - (hi0 + T * c)) <= 1e-14 * T * c
 
     def test_offset_power_never_returns_a_wrong_mass(self):
-        # at T = 2 the arcsine edges sit on the atoms; at this offset edge
-        # nodes round onto them and the mass is lost (NaN): that must be an
-        # error, not a value
+        # at T = 2 the arcsine edges sit on the atoms, which at this offset
+        # are known only to ulp(1e6): a lost mass must be an error, not a
+        # value
         mu = make_measure([(1e6, 0.5), (1e6 + 1.0, 0.5)])
         for T in (1.5, 2.0, 4.0):
             try:
@@ -136,6 +184,34 @@ class TestSupportComponents:
             except ConvergenceError:
                 continue
             assert abs(total - 1.0) <= 1e-6
+
+
+class TestArcsineCdf:
+    # the T = 2 power of the symmetric Bernoulli law is the arcsine law on
+    # [-2, 2]; the component edges sit on the atoms of mu, where the CDF
+    # table places no node
+
+    def test_cdf_matches_closed_form(self, bernoulli):
+        result = free_power(bernoulli, 2.0)
+        xs = np.linspace(-2.0, 2.0, 401)
+        expect = 0.5 + np.arcsin(xs / 2.0) / math.pi
+        assert np.max(np.abs(result.cdf(xs) - expect)) <= 1e-6
+        assert result.cdf(-3.0) == 0.0
+
+    def test_cdf_ends_at_the_mass(self, bernoulli):
+        result = free_power(bernoulli, 2.0)
+        assert result.cdf(2.0) == result.ac_mass
+        assert result.cdf(3.0) == result.ac_mass
+        assert abs(result.ac_mass - 1.0) <= 1e-9
+
+    def test_masses_are_the_table_ends(self, bernoulli):
+        result = free_power(make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]), 1.05)
+        ends = tuple(cum[-1] for _, cum in result._kernel.cdf_tables)
+        assert len(ends) == 2
+        assert result.ac_masses == ends
+        with_atoms = free_power(bernoulli, 1.5)
+        beyond = max(with_atoms.x3, with_atoms.atoms[-1][0]) + 1.0
+        assert with_atoms.cdf(beyond) == with_atoms.ac_mass + with_atoms.atomic_mass
 
 
 class TestAtoms:
@@ -389,10 +465,10 @@ class TestLazyMasses:
                                             monkeypatch, tmp_path):
         from freecontract import cli, freepower, tnorm
 
-        def refuse(self, u_lo, u_hi):
+        def refuse(self, curve):
             raise AssertionError("a component mass was integrated")
 
-        monkeypatch.setattr(freepower._PowerKernel, "_component_mass", refuse)
+        monkeypatch.setattr(freepower._PowerKernel, "_cdf_table", refuse)
         assert tnorm.tnorm_exact(bernoulli_spec, 0.25) == pytest.approx(SQRT3 / 2, abs=1e-9)
         tnorm.tnorm_report(bernoulli_spec, 0.5)
         assert len(support_components(bernoulli, 4.0)) == 1
@@ -409,13 +485,13 @@ class TestLazyMasses:
         from freecontract import freepower
 
         calls = []
-        integrate = freepower._PowerKernel._component_mass
+        integrate = freepower._PowerKernel._cdf_table
 
-        def counting(self, u_lo, u_hi):
-            calls.append((u_lo, u_hi))
-            return integrate(self, u_lo, u_hi)
+        def counting(self, curve):
+            calls.append((curve.u_lo, curve.u_hi))
+            return integrate(self, curve)
 
-        monkeypatch.setattr(freepower._PowerKernel, "_component_mass", counting)
+        monkeypatch.setattr(freepower._PowerKernel, "_cdf_table", counting)
         mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
         result = free_power(mu, 1.05)
         assert calls == []
