@@ -11,6 +11,7 @@ command with identical flags produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -212,7 +213,10 @@ def _cmd_violation_scan(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args fills a
+    fresh namespace on every call, so reusing it carries nothing over."""
     parser = _Parser(prog="freecontract",
                      description="free contraction norm laboratory")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

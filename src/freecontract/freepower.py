@@ -19,10 +19,14 @@ x = H(u + i f(u)) is -Im G(u + i f(u)) / pi with G the Cauchy transform of
 mu.  Point masses survive at T*x exactly when mu({x}) > 1 - 1/T, with mass
 T*mu({x}) - (T-1).
 
-All real roots of the geometry come from guaranteed sign-change brackets,
-solved together by one vectorized bisection; the height y = f^2 solves its
-secular equation by monotone Newton steps.  Each component is integrated
-once, by a midpoint rule in the curve parameter with the edge-taming
+All real roots of the geometry and of subordination come from guaranteed
+sign-change brackets, solved together by one vectorized safeguarded Newton
+iteration on functions with their bracketing poles cleared; the height
+y = f^2 solves its secular equation by monotone Newton steps.  Everything
+is computed in coordinates centred at the mean of mu and shifted back at
+the public boundary, so an offset spectrum keeps its digits.  Each
+component is integrated once, by a midpoint rule in the curve parameter
+with the edge-taming
 substitution u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the
 square-root edge behavior of the density becomes smooth: the cumulative
 sums are the component's CDF table and its last entry is the component's
@@ -54,7 +58,8 @@ _HEIGHT_STEPS = 100
 
 @dataclass(frozen=True)
 class _Curve:
-    """One maximal interval of B and its image support interval."""
+    """One maximal interval of B and its image support interval, centred
+    (u - tau and x - T*tau)."""
 
     u_lo: float
     u_hi: float
@@ -69,15 +74,23 @@ class _PowerKernel:
     (`curves`) is located on first use, and the CDF tables (`cdf_tables`) of
     the components, whose last entries are the a.c. masses (`masses`), on
     first read.
+
+    Everything is held in coordinates centred at the mean tau of mu: the
+    atoms `xs` of mu, the rho atoms `beta`, the curve points w, and on the
+    power's side x' = x - `shift` with shift = T*tau, since
+    H(w + tau) = h(w) + T*tau for the centred map h below.  `h_pair` and
+    `invert_h` take and give absolute points and `subordinate` takes
+    absolute x; other callers shift at the public boundary.
     """
 
     def __init__(self, mu: AtomicMeasure, T: float):
         if T <= 1.0:
             raise DomainError("subordination is defined for powers T > 1")
-        self.mu = mu
         self.T = float(T)
         self.tau, self.var = moments(mu)
-        rho = nevanlinna_rho(mu)
+        self.shift = self.T * self.tau
+        self.xs, self.weights = mu.positions - self.tau, mu.weights
+        rho = nevanlinna_rho(AtomicMeasure(self.xs, self.weights, mu.total_mass))
         self.beta = rho.positions
         self.c = rho.weights
         self.s = 1.0 / (self.T - 1.0)
@@ -88,16 +101,11 @@ class _PowerKernel:
         """sum_j c_j/(b_j - x)^2 for each x."""
         return (self.c / (self.beta - x[:, None]) ** 2).sum(axis=1)
 
-    def psi_prime(self, x: np.ndarray) -> np.ndarray:
-        """sum_j 2 c_j/(b_j - x)^3 for each x."""
-        d = self.beta - x[:, None]
-        return (2.0 * self.c / (d * d * d)).sum(axis=1)
-
     def h(self, z: np.ndarray) -> np.ndarray:
+        """Centred map h(w) = w + (T-1)*sum_j c_j/(w - b_j)."""
         z = np.asarray(z, dtype=complex)
-        return z + (self.T - 1.0) * (
-            self.tau + np.sum(self.c[:, None] / (z[None, :] - self.beta[:, None]), axis=0)
-        )
+        return z + (self.T - 1.0) * np.sum(
+            self.c[:, None] / (z[None, :] - self.beta[:, None]), axis=0)
 
     def h_prime(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -106,21 +114,20 @@ class _PowerKernel:
         )
 
     def h_pair(self, w: complex) -> tuple[complex, complex]:
-        """Scalar (H(w), H'(w))."""
-        z = np.array([complex(w)])
-        return complex(self.h(z)[0]), complex(self.h_prime(z)[0])
+        """Scalar (H(w), H'(w)) at an absolute point w."""
+        z = np.array([complex(w) - self.tau])
+        return complex(self.h(z)[0]) + self.shift, complex(self.h_prime(z)[0])
 
     def invert_h(self, z: complex, tol: float) -> complex:
-        """w in the upper half plane with H(w) = z, by damped Newton from the
-        large-|z| asymptote w = z - (T-1)*mean."""
+        """Absolute w in the upper half plane with H(w) = z, by damped Newton
+        from the large-|z| asymptote w = z - (T-1)*mean."""
         return damped_newton(self.h_pair, z, z - (self.T - 1.0) * self.tau, tol,
                              "inverting H")
 
     def g_mu(self, z: np.ndarray) -> np.ndarray:
+        """Cauchy transform of mu at centred points."""
         z = np.asarray(z, dtype=complex)
-        return np.sum(
-            self.mu.weights[:, None] / (z[None, :] - self.mu.positions[:, None]), axis=0
-        )
+        return np.sum(self.weights[:, None] / (z[None, :] - self.xs[:, None]), axis=0)
 
     # -- boundary height -------------------------------------------------
 
@@ -171,23 +178,67 @@ class _PowerKernel:
         """Maximal intervals of B with their image support intervals."""
         if self.var <= 0.0:
             raise DomainError("subordination machinery needs a measure with positive variance")
-        beta, s, m = self.beta, self.s, self.beta.size
+        beta, c, s, m = self.beta, self.c, self.s, self.beta.size
         # B lies within reach of the rho atoms: f <= sqrt(var*(T-1))
         reach = math.sqrt(self.var * (self.T - 1.0)) + 1.0
         lo, hi = beta[:-1], beta[1:]
+
         # psi is strictly convex between consecutive poles: its minimum
-        # decides whether the component splits in that gap
-        xstar = bisect(lambda x, _: self.psi_prime(x) <= 0.0, lo, hi, m)
+        # decides whether the component splits in that gap.  On the gap
+        # (L, R), psi'/2 = P - N with P = c_R/(R - x)^3 + (atoms right of R)
+        # and N = c_L/(x - L)^3 + (atoms left of L), both positive; Newton
+        # runs on N^(-1/3) - P^(-1/3), which increases through the minimum,
+        # is finite at both poles and is linear when no other atom counts.
+        def critical(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            left, right = x - beta[i], beta[i + 1] - x
+            inv = 1.0 / (beta - x[:, None])
+            terms = inv * inv
+            terms *= inv
+            terms *= c
+            rows = np.arange(x.size)
+            terms[rows, i] = terms[rows, i + 1] = 0.0
+            above = np.maximum(terms, 0.0)
+            below = above - terms
+            u = c[i] + below.sum(axis=1) * left**3
+            v = c[i + 1] + above.sum(axis=1) * right**3
+            f = left / np.cbrt(u) - right / np.cbrt(v)
+            fp = ((c[i] - (below * inv).sum(axis=1) * left**4) / (u * np.cbrt(u))
+                  + (c[i + 1] + (above * inv).sum(axis=1) * right**4) / (v * np.cbrt(v)))
+            return f, fp
+
+        # start at the minimum of the two-pole model c_L/(x-L)^2 + c_R/(R-x)^2
+        ratio = np.cbrt(c[:-1] / c[1:])
+        xstar = bisect(critical, lo, hi, m, lo + (hi - lo) * (ratio / (1.0 + ratio)))
         split = blockwise(self.psi, m, xstar) < s
         # psi rises through s at the k left edges (left of all atoms and at
         # the right end of every split gap) and falls through s at the k
-        # right edges: a root lies above x where psi(x) <= s on a rising
-        # edge and where psi(x) > s on a falling one
+        # right edges.  Each bracket ends at one pole P, at distance d from
+        # x, where psi = c_P/d^2 + p; Newton runs on
+        # +-(s^(-1/2) - psi^(-1/2)) = +-(s^(-1/2) - d/sqrt(c_P + p*d^2)),
+        # which increases through the edge, is finite at P and is linear
+        # when no other atom counts.
         k = 1 + np.count_nonzero(split)
-        rising = np.arange(2 * k) < k
-        edges = bisect(lambda x, idx: (self.psi(x) > s) != rising[idx],
+        gaps = np.flatnonzero(split)
+        pole = np.r_[0, gaps + 1, gaps, m - 1]
+        sign = np.where(np.arange(2 * k) < k, 1.0, -1.0)
+        s_root = 1.0 / math.sqrt(s)
+
+        def edge(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            p, sg = pole[i], sign[i]
+            dist = sg * (beta[p] - x)
+            inv = 1.0 / (beta - x[:, None])
+            terms = c * inv * inv
+            terms[np.arange(x.size), p] = 0.0
+            q = c[p] + terms.sum(axis=1) * dist * dist
+            return (sg * (s_root - dist / np.sqrt(q)),
+                    (c[p] + sg * (terms * inv).sum(axis=1) * dist**3) / (q * np.sqrt(q)))
+
+        # start where the pole alone gives psi = s: psi >= c_P/d^2 puts it
+        # between P and the edge
+        edges = bisect(edge,
                        np.r_[beta[0] - reach, xstar[split], lo[split], beta[-1]],
-                       np.r_[beta[0], hi[split], xstar[split], beta[-1] + reach], m)
+                       np.r_[beta[0], hi[split], xstar[split], beta[-1] + reach], m,
+                       beta[pole] - sign * np.sqrt(c[pole] / s))
         u_lo, u_hi = edges[:k], edges[k:]
         curves = []
         for a, b in zip(u_lo.tolist(), u_hi.tolist()):
@@ -252,22 +303,30 @@ class _PowerKernel:
     # -- subordination -----------------------------------------------------
 
     def solve_u(self, x: np.ndarray, curve: _Curve) -> np.ndarray:
-        """Invert x = H(u + i f(u)) on one component by monotone bisection."""
+        """Invert x = h(u + i f(u)) on one component by safeguarded Newton:
+        Re h increases along the curve with dx/du = |h'|^2/Re h'."""
         x = np.asarray(x, dtype=float)
-        return bisect(lambda u, idx: self.h(self.curve_point(u)).real < x[idx],
-                      np.full_like(x, curve.u_lo), np.full_like(x, curve.u_hi),
+
+        def probe(u: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            omega = self.curve_point(u)
+            hp = self.h_prime(omega)
+            return self.h(omega).real - x[idx], np.abs(hp) ** 2 / hp.real
+
+        return bisect(probe, np.full_like(x, curve.u_lo), np.full_like(x, curve.u_hi),
                       self.beta.size)
 
     def subordinate(self, x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(omega, inside) per component: the mask of the x strictly inside it
-        (and inside no earlier one) and their subordination points."""
+        """(omega, inside) per component: the mask of the x strictly inside
+        its support interval (and inside no earlier one), compared where the
+        public edges x_lo + shift are, and their centred subordination
+        points."""
         seen = np.zeros(x.shape, dtype=bool)
         for curve in self.curves:
-            inside = (x > curve.x_lo) & (x < curve.x_hi) & ~seen
+            inside = (x > curve.x_lo + self.shift) & (x < curve.x_hi + self.shift) & ~seen
             if not np.any(inside):
                 continue
             seen |= inside
-            yield self.curve_point(self.solve_u(x[inside], curve)), inside
+            yield self.curve_point(self.solve_u(x[inside] - self.shift, curve)), inside
 
 
 @dataclass(frozen=True)
@@ -328,21 +387,23 @@ class FreePowerResult:
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xq)
-        if self._kernel is not None:
-            for omega, inside in self._kernel.subordinate(xq):
-                out[inside] = np.maximum(-self._kernel.g_mu(omega).imag / math.pi, 0.0)
+        kernel = self._kernel
+        if kernel is not None:
+            for omega, inside in kernel.subordinate(xq):
+                out[inside] = np.maximum(-kernel.g_mu(omega).imag / math.pi, 0.0)
         return float(out[0]) if scalar else out
 
     def subordination(self, x) -> np.ndarray | complex:
         """Subordination points for x inside the a.c. support (vectorized)."""
-        if self._kernel is None:
+        kernel = self._kernel
+        if kernel is None:
             raise DomainError("no a.c. support: subordination undefined")
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(xq.shape, dtype=complex)
         seen = np.zeros(xq.shape, dtype=bool)
-        for omega, inside in self._kernel.subordinate(xq):
-            out[inside] = omega
+        for omega, inside in kernel.subordinate(xq):
+            out[inside] = omega + kernel.tau
             seen |= inside
         if not np.all(seen):
             raise DomainError("x must lie strictly inside an a.c. support component")
@@ -355,7 +416,8 @@ class FreePowerResult:
         out = np.zeros_like(xq)
         if self.ac_masses:   # the first read integrates and checks the masses
             for xs, cum in self._kernel.cdf_tables:
-                out += np.interp(xq, xs, cum, left=0.0, right=cum[-1])
+                out += np.interp(xq - self._kernel.shift, xs, cum, left=0.0,
+                                 right=cum[-1])
         if self.atoms:
             pos = np.array([p for p, _ in self.atoms])
             mass = np.array([m for _, m in self.atoms])
@@ -392,20 +454,21 @@ def h_transform(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex, compl
     kernel = _PowerKernel(mu, T)
     z = complex(z)
     if z.imag == 0.0 and kernel.beta.size and np.min(
-            np.abs(kernel.beta - z.real)) < 1e-12 * max(1.0, abs(z.real)):
+            np.abs(kernel.beta - (z.real - kernel.tau))) < 1e-12 * max(1.0, abs(z.real)):
         raise DomainError("H has a pole at this real point")
     return kernel.h_pair(z)
 
 
 def b_set(mu: AtomicMeasure, T: float) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
     """Maximal open intervals of positive boundary height and the H' roots."""
-    curves = _PowerKernel(mu, T).curves
-    return _bt_components(curves), _boundary_roots(curves)
+    bt = _bt_components(_PowerKernel(mu, T))
+    return bt, _boundary_roots(bt)
 
 
 def f_height(mu: AtomicMeasure, T: float, x: float) -> float:
     """Boundary height at x (0 outside the positive-height set)."""
-    return float(_PowerKernel(mu, T).f_height(np.array([float(x)]))[0])
+    kernel = _PowerKernel(mu, T)
+    return float(kernel.f_height(np.array([float(x) - kernel.tau]))[0])
 
 
 def support_components(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
@@ -413,12 +476,14 @@ def support_components(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float]
     return free_power(mu, T).support_components
 
 
-def _bt_components(curves: Sequence[_Curve]) -> tuple[tuple[float, float], ...]:
-    return tuple((c.u_lo, c.u_hi) for c in curves)
+def _bt_components(kernel: Optional[_PowerKernel]) -> tuple[tuple[float, float], ...]:
+    if kernel is None:
+        return ()
+    return tuple((c.u_lo + kernel.tau, c.u_hi + kernel.tau) for c in kernel.curves)
 
 
-def _boundary_roots(curves: Sequence[_Curve]) -> tuple[float, ...]:
-    return tuple(sorted(e for c in curves for e in (c.u_lo, c.u_hi)))
+def _boundary_roots(bt: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    return tuple(sorted(e for c in bt for e in c))
 
 
 def _merge_spans(curves: Sequence[_Curve]) -> list[slice]:
@@ -511,14 +576,16 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
         raise DomainError("powers are defined for T >= 1 only")
     kernel = None if T == 1.0 or mu.n_atoms == 1 else _PowerKernel(mu, T)
     curves = kernel.curves if kernel is not None else []
-    comps = tuple((curves[span][0].x_lo, curves[span][-1].x_hi)
+    comps = tuple((curves[span][0].x_lo + kernel.shift,
+                   curves[span][-1].x_hi + kernel.shift)
                   for span in _merge_spans(curves))
-    roots = _boundary_roots(curves)
+    bt = _bt_components(kernel)
+    roots = _boundary_roots(bt)
     return FreePowerResult(
         T=float(T),
         support_components=comps,
         atoms=atoms_of_power(mu, T),
-        bt_components=_bt_components(curves),
+        bt_components=bt,
         boundary_roots=roots,
         x3=comps[-1][1] if comps else None,
         x4=roots[-1] if roots else None,

@@ -149,20 +149,39 @@ def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
     between consecutive poles, by interlacing) and its weights are
     c_j = -1/G'(b_j) > 0.  The weights sum to the variance of `mu`; a
     single-atom measure yields the empty measure.
+
+    The zeros are found by safeguarded Newton on G with both poles of its
+    gap cleared, in coordinates centred at the mean (so an offset spectrum
+    keeps its digits); only the returned positions are shifted back.
     """
     if not mu.is_probability():
         raise DomainError("rho is defined for probability measures")
-    xs, ws = mu.positions, mu.weights
-    # G decreases from +inf to -inf across each gap (xs[i], xs[i+1]), so its
-    # zero lies above x exactly when G(x) > 0; the endpoints sit on poles.
-    betas = bisect(lambda x, _: (ws / (x[:, None] - xs)).sum(axis=1) > 0.0,
-                   xs[:-1], xs[1:], xs.size)
+    mean, variance = moments(mu)
+    xs, ws = mu.positions - mean, mu.weights
+
+    def probe(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # f = -G(x)*(x - L)*(R - x) on the gap (L, R) = (xs[i], xs[i+1]) is
+        # finite at both poles, increases through the zero of G and is
+        # linear when no other atom counts
+        left, right = x - xs[i], xs[i + 1] - x
+        inv = 1.0 / (x[:, None] - xs)
+        terms = ws * inv
+        rows = np.arange(x.size)
+        terms[rows, i] = terms[rows, i + 1] = 0.0
+        rest = terms.sum(axis=1)
+        gap = left * right
+        f = ws[i + 1] * left - ws[i] * right - gap * rest
+        fp = ws[i] + ws[i + 1] - (right - left) * rest + gap * (terms * inv).sum(axis=1)
+        return f, fp
+
+    # start at the zero of the two-pole model w_L/(x - L) + w_R/(x - R)
+    lo, hi = xs[:-1], xs[1:]
+    betas = bisect(probe, lo, hi, xs.size, lo + (hi - lo) * (ws[:-1] / (ws[:-1] + ws[1:])))
     cs = 1.0 / blockwise(lambda b: (ws / (b[:, None] - xs) ** 2).sum(axis=1),
                          xs.size, betas)
-    _, variance = moments(mu)
     if abs(float(cs.sum()) - variance) > 1e-10 * max(1.0, variance):
         raise ConvergenceError("rho mass does not match the variance")
-    return AtomicMeasure(betas, cs, float(cs.sum()))
+    return AtomicMeasure(betas + mean, cs, float(cs.sum()))
 
 
 def voiculescu_transform(mu: AtomicMeasure, z: complex, tol: float = 1e-12) -> complex:

@@ -1,9 +1,13 @@
 """Root finding.
 
 Every real root used in this package has a guaranteed sign-change bracket,
-so all of them come from one vectorized bisection, :func:`bisect`, which
-solves a whole array of brackets at once.  Endpoints are never evaluated:
-brackets may start at a pole, so only midpoints are probed.
+so all of them come from one vectorized safeguarded Newton iteration,
+:func:`bisect`, which solves a whole array of brackets at once: a Newton
+step is taken where it lands inside the shrinking bracket, a bisection
+step elsewhere (rtsafe, Numerical Recipes 3rd ed., section 9.4).
+Endpoints are never evaluated: brackets may start at a pole, so callers
+clear their poles, which keeps the probed function finite on the closed
+bracket and Newton's model good next to them.
 
 Complex equations (inverting analytic maps on the upper half plane) go
 through one damped Newton iteration, :func:`damped_newton`.
@@ -11,17 +15,20 @@ through one damped Newton iteration, :func:`damped_newton`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-# Bisection steps per bracket.  A bracket stops as soon as its midpoint
+# Probes per bracket.  A bisecting bracket stops as soon as its midpoint
 # equals an endpoint, after about 52 + log2(width/|root|) steps; only roots
 # at or next to 0 run to the cap, which leaves a bracket 2**-80 times its
-# starting width.
+# starting width.  Newton brackets stop long before.
 MAX_STEPS = 80
+# A Newton step at most this many ulps of the bracket's scale ends it:
+# rounding in the probed function makes its root fuzzy at that scale.
+NEWTON_ULPS = 2.0
 # Elements per evaluation block: a (rows x atoms) temporary holds at most
 # this many numbers (512 KiB of float64, small enough to stay in cache),
 # whatever the number of rows.
@@ -41,40 +48,66 @@ def blockwise(fn: Callable[..., np.ndarray], width: int, *rows: np.ndarray) -> n
 
 
 def bisect(
-    above: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    probe: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     lo: np.ndarray,
     hi: np.ndarray,
     width: int,
+    start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Roots of an array of brackets [lo, hi] by simultaneous bisection.
+    """Roots of an array of brackets [lo, hi] by simultaneous safeguarded
+    Newton iteration.
 
-    `above(x, idx)` says, for the midpoints `x` of the brackets numbered
-    `idx`, whether each bracket's root lies above its midpoint; it is
-    called on row blocks (see :func:`blockwise`) with `width` atoms per
-    row.  A bracket stops once its midpoint equals an endpoint, or after
-    MAX_STEPS steps; the midpoint of each final bracket is returned.
-    Division by zero inside `above` is silenced (an underflowing distance
-    to a pole gives inf, which still has the right sign).
+    `probe(x, idx)` returns (f, f') at the points `x` of the brackets
+    numbered `idx`, for a function f that is negative below each bracket's
+    root and nonnegative above it; it is called on row blocks (see
+    :func:`blockwise`) with `width` atoms per row.  The first probe is
+    `start` where that lies strictly inside the bracket, else the midpoint.
+    After each probe the bracket shrinks to the side of the root, and the
+    next probe is the Newton point x - f/f' when that lies strictly inside
+    the new bracket, else the midpoint (rtsafe without its step-halving
+    test, which rejects the growing steps of Newton converging from one
+    side); a NaN (or infinite) f' therefore gives plain bisection.  A
+    bracket stops when its midpoint equals an endpoint (the midpoint is
+    returned), when a Newton step is at most NEWTON_ULPS ulps of
+    max(|lo|, |hi|) (its point is returned), or after MAX_STEPS probes
+    (the midpoint is returned).  Division by zero inside `probe` is
+    silenced.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    root = 0.5 * (lo + hi)
+    if start is not None:
+        root = np.where((lo < start) & (start < hi), start, root)
+    tol = NEWTON_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     idx = np.arange(lo.size)
-    a, b = lo, hi
-    with np.errstate(divide="ignore"):
+    a, b, x = lo, hi, root.copy()
+    done = np.zeros(lo.size, dtype=bool)
+
+    def pair(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = np.empty((x.size, 2))
+        out[:, 0], out[:, 1] = probe(x, rows)
+        return out
+
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_STEPS):
-            mid = 0.5 * (a + b)
-            moving = (a < mid) & (mid < b)
-            if np.count_nonzero(moving) < idx.size:
-                lo[idx], hi[idx] = a, b
-                idx, a, b, mid = idx[moving], a[moving], b[moving], mid[moving]
+            live = (a < x) & (x < b) & ~done
+            if not live.all():
+                root[idx[~live]] = x[~live]
+                idx, a, b, x = idx[live], a[live], b[live], x[live]
+                tol = tol[live]
             if not idx.size:
-                break
-            up = blockwise(above, width, mid, idx)
-            a = np.where(up, mid, a)
-            b = np.where(up, b, mid)
-        else:
-            lo[idx], hi[idx] = a, b
-    return 0.5 * (lo + hi)
+                return root
+            f, fp = blockwise(pair, width, x, idx).T
+            up = f < 0.0
+            a = np.where(up, x, a)
+            b = np.where(up, b, x)
+            step = f / np.where(np.isfinite(fp), fp, np.nan)
+            xn = x - step
+            inside = (a < xn) & (xn < b)
+            done = (inside | (xn == x)) & (np.abs(step) <= tol)
+            x = np.where(inside | done, xn, 0.5 * (a + b))
+        root[idx] = np.where(done, x, 0.5 * (a + b))
+    return root
 
 
 def damped_newton(

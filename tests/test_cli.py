@@ -72,11 +72,20 @@ class TestPowerCommand:
 
 
 class TestLostMass:
-    # at T = 2 the edges of {c, c + 1} sit on the atoms, known only to
-    # ulp(c): at c = 1e8 the a.c. mass is lost beyond 1e-6 and the power
-    # refuses it; the norm needs no mass
+    # a power whose components miss the unit mass by more than 1e-6 is
+    # refused, and nothing is written; the norm needs no mass.  Offset
+    # spectra are computed about their mean, so {c, c + 1} keeps its mass.
 
-    def test_power_refuses_and_writes_nothing(self, tmp_path, capsys):
+    def test_power_refuses_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        from freecontract import freepower
+
+        integrate = freepower._PowerKernel._cdf_table
+
+        def lossy(self, curve):
+            xs, cum = integrate(self, curve)
+            return xs, cum * (1.0 - 1e-5)
+
+        monkeypatch.setattr(freepower._PowerKernel, "_cdf_table", lossy)
         measure = tmp_path / "offset.json"
         measure.write_text(json.dumps(
             {"atoms": [{"x": 1e8, "w": 0.5}, {"x": 1e8 + 1.0, "w": 0.5}]}))
@@ -86,6 +95,19 @@ class TestLostMass:
         assert code == 2
         assert "mass conservation violated" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_power_at_offset_1e8_conserves_mass(self, tmp_path):
+        measure = tmp_path / "offset.json"
+        measure.write_text(json.dumps(
+            {"atoms": [{"x": 1e8, "w": 0.5}, {"x": 1e8 + 1.0, "w": 0.5}]}))
+        out = tmp_path / "p.json"
+        code = main(["power", "--measure", str(measure), "--T", "2",
+                     "--out", str(out)])
+        assert code == 0
+        obj = json.loads(out.read_text())
+        assert abs(sum(obj["ac_masses"]) - 1.0) <= 1e-9
+        (lo, hi), = obj["support_components"]
+        assert (lo, hi) == (2e8, 2e8 + 2.0)
 
     def test_power_at_offset_1e6_conserves_mass(self, tmp_path):
         measure = tmp_path / "offset.json"
@@ -229,3 +251,37 @@ class TestStdoutPath:
         assert captured.out.startswith("N,t,seed,eigenvalue")
         meta = json.loads(captured.err)
         assert meta["d"] == 60
+
+
+class TestParserReuse:
+    # the parser is built once per process; consecutive calls must not see
+    # each other's arguments or defaults
+
+    def test_consecutive_calls_leak_nothing(self, bernoulli_spec_path,
+                                            bernoulli_measure_path, tmp_path):
+        from freecontract.cli import build_parser
+
+        assert build_parser() is build_parser()
+        csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+        assert main(["tnorm", "--spec", bernoulli_spec_path, "--t", "0.25",
+                     "--format", "csv", "--L", "5", "--seed", "7",
+                     "--out", str(csv_out)]) == 0
+        assert main(["measure", "rho", "--measure", bernoulli_measure_path,
+                     "--out", str(tmp_path / "rho.json")]) == 0
+        assert main(["tnorm", "--spec", bernoulli_spec_path, "--t", "0.25",
+                     "--out", str(json_out)]) == 0
+        assert csv_out.read_text().startswith("t,exact")
+        obj = json.loads(json_out.read_text())
+        assert obj["meta"]["seed"] == 0
+
+        argvs = [
+            ["tnorm", "--spec", "a.json", "--t", "0.5", "--all-bounds", "--L", "3"],
+            ["power", "--measure", "m.json", "--T", "2", "--density-grid", "9"],
+            ["tnorm", "--spec", "a.json", "--t", "0.5"],
+            ["channel", "hmin", "--k", "2", "--n", "3", "--t", "0.5"],
+            ["violation", "scan", "--kmin", "1", "--kmax", "2", "--svg", "c.svg"],
+            ["violation", "eval", "--k", "3", "--r", "1.5"],
+        ]
+        for argv in argvs:
+            assert vars(build_parser().parse_args(argv)) == \
+                vars(build_parser.__wrapped__().parse_args(argv))

@@ -172,6 +172,18 @@ class TestSupportComponents:
                 assert abs(lo - (lo0 + T * c)) <= 1e-14 * T * c
                 assert abs(hi - (hi0 + T * c)) <= 1e-14 * T * c
 
+    def test_offset_three_atoms_keep_their_mass(self):
+        # {0, 0.25, 1} + 1e8 at T = 2: rho, the support and the mass come out
+        # as for the unshifted measure, moved by T*1e8
+        base = [(0.0, 0.3), (0.25, 0.3), (1.0, 0.4)]
+        ref = free_power(make_measure(base), 2.0)
+        got = free_power(make_measure([(x + 1e8, w) for x, w in base]), 2.0)
+        assert abs(got.ac_mass + got.atomic_mass - 1.0) <= 1e-9
+        assert len(got.support_components) == len(ref.support_components)
+        for (lo, hi), (lo0, hi0) in zip(got.support_components, ref.support_components):
+            assert abs(lo - (lo0 + 2e8)) <= 2 * np.spacing(2e8)
+            assert abs(hi - (hi0 + 2e8)) <= 2 * np.spacing(2e8)
+
     def test_offset_power_never_returns_a_wrong_mass(self):
         # at T = 2 the arcsine edges sit on the atoms, which at this offset
         # are known only to ulp(1e6): a lost mass must be an error, not a
@@ -488,7 +500,7 @@ class TestLazyMasses:
         integrate = freepower._PowerKernel._cdf_table
 
         def counting(self, curve):
-            calls.append((curve.u_lo, curve.u_hi))
+            calls.append((curve.u_lo + self.tau, curve.u_hi + self.tau))
             return integrate(self, curve)
 
         monkeypatch.setattr(freepower._PowerKernel, "_cdf_table", counting)

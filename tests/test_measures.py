@@ -140,6 +140,16 @@ class TestNevanlinnaRho:
         np.testing.assert_allclose(rho.weights, [1 / 3, 1 / 3], atol=1e-12)
         assert rho.total_mass == pytest.approx(2 / 3, abs=1e-10)
 
+    @pytest.mark.parametrize("c", [1e6, 1e8])
+    def test_offset_three_atoms(self, c):
+        # computed about the mean, an offset spectrum keeps rho's digits:
+        # the positions move by c to an ulp of c, the weights stay put
+        base = [(0.0, 0.3), (0.25, 0.3), (1.0, 0.4)]
+        ref = nevanlinna_rho(make_measure(base))
+        rho = nevanlinna_rho(make_measure([(x + c, w) for x, w in base]))
+        assert np.all(np.abs(rho.positions - (ref.positions + c)) <= np.spacing(c))
+        np.testing.assert_allclose(rho.weights, ref.weights, rtol=1e-12)
+
     def test_mass_equals_variance_sweep(self):
         for trial in range(100):
             rng = seeded(7, trial)

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from freecontract import freepower, measures, rootfind
 from freecontract.errors import ConvergenceError
-from freecontract.freepower import _PowerKernel, b_set
-from freecontract.measures import HermitianSpec, nevanlinna_rho
+from freecontract.freepower import _PowerKernel, b_set, free_power
+from freecontract.measures import HermitianSpec, make_measure, nevanlinna_rho
 from freecontract.rootfind import BLOCK_ELEMENTS, MAX_STEPS, bisect, damped_newton
 
 
@@ -21,12 +22,13 @@ def test_damped_newton_zero_derivative_raises():
 
 def test_bisect_pole_endpoints_give_finite_roots_without_warnings():
     # G = sum w/(x - p) runs from +inf to -inf between consecutive poles p;
-    # the last bracket is two adjacent floats, so it is never evaluated
+    # the last bracket is two adjacent floats, so it is never evaluated.
+    # -G with a NaN derivative is probed, so every step bisects.
     poles = np.array([-1.0, 0.0, 2.0, 2.0 + 1e-9, 3.0, np.nextafter(3.0, 4.0)])
     weights = np.full(poles.size, 1.0 / poles.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = bisect(lambda x, _: (weights / (x[:, None] - poles)).sum(axis=1) > 0.0,
+        roots = bisect(lambda x, _: (-(weights / (x[:, None] - poles)).sum(axis=1), np.nan),
                        poles[:-1], poles[1:], poles.size)
     assert np.all(np.isfinite(roots))
     assert np.all((poles[:-2] < roots[:-1]) & (roots[:-1] < poles[1:-1]))
@@ -36,11 +38,11 @@ def test_bisect_pole_endpoints_give_finite_roots_without_warnings():
 def test_bisect_root_at_zero_stops_at_the_cap():
     calls = []
 
-    def above(x, idx):
+    def probe(x, idx):
         calls.append(x.size)
-        return x < 0.0
+        return x, np.nan
 
-    root = bisect(above, np.array([-1.0]), np.array([3.0]), 1)
+    root = bisect(probe, np.array([-1.0]), np.array([3.0]), 1)
     assert abs(root[0]) <= 1e-20
     assert len(calls) == MAX_STEPS
 
@@ -54,8 +56,8 @@ def test_bisect_mixed_brackets_match_single_solves():
     lo = roots - rng.uniform(0.0, 10.0, n)
     hi = roots + rng.uniform(0.0, 10.0, n)
     lo[::11] = hi[::11] = roots[::11]      # collapsed from the start
-    together = bisect(lambda x, idx: x < roots[idx], lo, hi, width)
-    alone = [bisect(lambda x, _: x < r, lo[i:i + 1], hi[i:i + 1], 1)[0]
+    together = bisect(lambda x, idx: (x - roots[idx], np.nan), lo, hi, width)
+    alone = [bisect(lambda x, _: (x - r, np.nan), lo[i:i + 1], hi[i:i + 1], 1)[0]
              for i, r in enumerate(roots)]
     np.testing.assert_array_equal(together, alone)
 
@@ -77,5 +79,96 @@ def test_large_m_rho_interlaces_and_edges_solve_psi_equal_s():
     comps, roots = b_set(mu, T)
     assert len(comps) > 1
     kernel = _PowerKernel(mu, T)
-    psi = kernel.psi(np.array(roots))
+    psi = kernel.psi(np.array(roots) - kernel.tau)
     assert np.max(np.abs(psi - kernel.s)) <= 1e-9 * kernel.s
+
+
+def test_newton_steps_that_leave_the_bracket_fall_back_to_bisection():
+    # Newton on arctan overshoots far out of the bracket from the midpoint;
+    # a derivative of the wrong sign always points out of it
+    calls = []
+
+    def arctan(x, idx):
+        assert x.shape == idx.shape == (1,)
+        calls.append(x.size)
+        return np.arctan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2)
+
+    def wrong_sign(x, idx):
+        assert x.shape == idx.shape == (1,)
+        return x - 1.0, -1.0
+
+    root = bisect(arctan, np.array([-10.0]), np.array([30.0]), 1)
+    assert abs(root[0] - 1.0) <= 2 * np.spacing(1.0)
+    assert len(calls) < 20
+    wrong = bisect(wrong_sign, np.array([-10.0]), np.array([30.0]), 1)
+    assert abs(wrong[0] - 1.0) <= np.spacing(1.0)
+
+
+def test_newton_brackets_match_single_solves():
+    # f = d + d^3 with d = x - root takes Newton steps; solving 600 brackets
+    # in blocks gives each one the same iterates as solving it alone
+    rng = np.random.default_rng(12)
+    n = 600
+    roots = rng.uniform(-5.0, 5.0, n)
+    lo = roots - rng.uniform(0.0, 10.0, n)
+    hi = roots + rng.uniform(0.0, 10.0, n)
+
+    def probe(x, r):
+        d = x - r
+        return d + d**3, 1.0 + 3.0 * d * d
+
+    together = bisect(lambda x, idx: probe(x, roots[idx]), lo, hi, BLOCK_ELEMENTS // 64)
+    alone = [bisect(lambda x, _: probe(x, r), lo[i:i + 1], hi[i:i + 1], 1)[0]
+             for i, r in enumerate(roots)]
+    np.testing.assert_array_equal(together, alone)
+    assert np.all(np.abs(together - roots) <= 2 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+
+
+def _counting(monkeypatch, module):
+    """Probes per bracket of every bisect call made through `module`."""
+    calls = []
+    solve = rootfind.bisect
+
+    def counting(probe, lo, hi, *args):
+        counts = np.zeros(np.size(lo), dtype=int)
+        calls.append(counts)
+
+        def wrapped(x, idx):
+            np.add.at(counts, idx, 1)
+            return probe(x, idx)
+
+        return solve(wrapped, lo, hi, *args)
+
+    monkeypatch.setattr(module, "bisect", counting)
+    return calls
+
+
+def _spectrum(m, seed):
+    # one eigenvalue in each m-th of [0, 3], multiplicities 1 to 3
+    rng = np.random.default_rng(seed)
+    xi = 3.0 * (np.arange(m) + 0.1 + 0.8 * rng.random(m)) / m
+    mult = rng.integers(1, 4, m)
+    return HermitianSpec(int(mult.sum()), xi, mult).measure()
+
+
+@pytest.mark.parametrize("m", [2, 64, 1024])
+def test_rho_and_critical_points_take_few_probes(monkeypatch, m):
+    rho_calls = _counting(monkeypatch, measures)
+    curve_calls = _counting(monkeypatch, freepower)
+    for mu in (_spectrum(m, m), make_measure([(x, 1.0 / m) for x in np.linspace(-1, 1, m)])):
+        del rho_calls[:], curve_calls[:]
+        free_power(mu, 4.0)
+        rho_counts, critical_counts = rho_calls[0], curve_calls[0]
+        assert rho_counts.size == m - 1 and critical_counts.size == m - 2
+        assert rho_counts.max() <= 8
+        assert critical_counts.max(initial=0) <= 8
+
+
+@pytest.mark.parametrize("T", [1.1, 4.0])
+def test_subordination_takes_few_probes(monkeypatch, T):
+    result = free_power(_spectrum(64, 7), T)
+    calls = _counting(monkeypatch, freepower)
+    lo, hi = result.support_components[0][0], result.x3
+    result.density(np.linspace(lo, hi, 256))
+    assert calls
+    assert max(c.max() for c in calls) <= 16
