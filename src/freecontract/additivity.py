@@ -16,64 +16,112 @@ lower-bounds twice the single-channel entropy by 2*f(k, t) with
     f(k, t) = log(k) - [k/2 + (u-1/k)/(6*l^2)] * t^2 * (1 + 2*sqrt((1-t)/(t*k)))^2.
 
 The gap g(k, r) = product_bound - 2*f is negative exactly where additivity
-must fail.  Near its zero crossing g is a ~1e-12 residue of ~10-sized
-terms, so the final combination uses math.fsum (exactly rounded
-summation), leaving only the few-ulp representation error of each term;
-cancellation-prone subexpressions (u - 1/k and l) use algebraically
-rearranged forms with no subtractive loss.
+must fail.  One array kernel evaluates it on a (k column, t row) grid; a
+scan is one pass of it and the point functions run it on 1-element arrays.
+Near its zero g is a ~1e-12 residue of ~10-sized terms, so the terms are
+summed exactly by two TwoSums (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26,
+2005), error terms last.  Neither slab bound cancels as t -> 1/k: u - 1/k
+is a sum of nonnegative terms, and l = (t - 1/k)^2 / (sqrt(a*t) +
+sqrt((1-t)/k))^2 with a = (k-1)/k has one, exact, subtraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qchannel import QuantumState, binary_entropy, concentration_radius, entropy
+from .qchannel import QuantumState, entropy
 
-# computed slab lower bounds carry ~1e-17 absolute rounding error, so values
-# below this floor are indistinguishable from the degenerate case l = 0
+# l is exact to ~1e-16/sqrt(k*l) relative; below this floor t is within
+# ~6e-7/sqrt(k) of 1/k, and f (which divides by l^2) is treated as undefined
 _L_FLOOR = 1e-13
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480   # contour drawing size in pixels
+
+
+def _phi(a, b):
+    return np.clip(a + b - 2.0 * a * b + 2.0 * np.sqrt(a * b * (1.0 - a) * (1.0 - b)), 0.0, 1.0)
 
 
 def phi_overlap(a: float, b: float) -> float:
     """a + b - 2ab + 2*sqrt(ab(1-a)(1-b)), clamped to [0, 1] against rounding."""
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise DomainError("phi is defined on [0,1] x [0,1]")
-    value = a + b - 2.0 * a * b + 2.0 * math.sqrt(a * b * (1.0 - a) * (1.0 - b))
-    return min(max(value, 0.0), 1.0)
+    return float(_phi(float(a), float(b)))
 
 
-def simplex_bounds(k: int, t: float) -> tuple[float, float]:
-    """(l, u) with l = 1 - phi((k-1)/k, t) and u = phi(1/k, t).
+# -- the kernel: k is a column of floats and t an array broadcasting with it
+def _t_grid(ks, rs) -> np.ndarray:
+    # float_power is libm's pow; numpy's ** can differ from it in the last bit
+    return np.float_power(np.asarray(ks, dtype=float)[:, None], -np.asarray(rs, dtype=float))
 
-    l is evaluated as (sqrt(a*b) - sqrt((1-a)(1-b)))^2 with a = (k-1)/k,
-    b = t, which is the same quantity without subtractive cancellation;
-    it vanishes exactly when t = 1/k.
-    """
-    if k < 2:
-        raise DomainError("need k >= 2")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("need t in (0, 1]")
-    a = (k - 1) / k
-    lower = (math.sqrt(a * t) - math.sqrt((1.0 - a) * (1.0 - t))) ** 2
-    upper = phi_overlap(1.0 / k, t)
-    lower = min(max(lower, 0.0), 1.0)
-    # u >= 1/k holds for every t; l <= 1/k only up to t = 1/k (beyond it the
-    # slab stops being an enclosure of the uniform point)
-    if upper < 1.0 / k - 1e-12:
+
+def _slab(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    inv_k = 1.0 / k
+    root_sum = np.sqrt((k - 1.0) / k * t) + np.sqrt(inv_k * (1.0 - t))
+    lower = np.minimum((t - inv_k) ** 2 / root_sum ** 2, 1.0)
+    upper = _phi(inv_k, t)
+    # u >= 1/k for every t (l <= 1/k only up to t = 1/k, where the slab stops enclosing 1/k)
+    if np.any(upper < inv_k - 1e-12):
         raise ConvergenceError("simplex upper bound fell below 1/k")
     return lower, upper
 
 
-def _u_excess(k: int, t: float) -> float:
-    # u_{k,t} - 1/k = t(1 - 2/k) + 2*sqrt((t/k)(1-1/k)(1-t)): all terms
-    # nonnegative for k >= 2, so no cancellation
-    return t * (1.0 - 2.0 / k) + 2.0 * math.sqrt((t / k) * (1.0 - 1.0 / k) * (1.0 - t))
+def _taylor_f(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    lower, _ = _slab(k, t)
+    # u - 1/k = t(1 - 2/k) + 2*sqrt((t/k)(1-1/k)(1-t)): all terms nonnegative
+    u_excess = t * (1.0 - 2.0 / k) + 2.0 * np.sqrt((t / k) * (1.0 - 1.0 / k) * (1.0 - t))
+    radius = t * (1.0 + 2.0 * np.sqrt((1.0 - t) / (t * k)))
+    with np.errstate(divide="ignore"):
+        f = np.log(k) - (k / 2.0 + u_excess / (6.0 * lower * lower)) * radius ** 2
+    return np.where(lower > _L_FLOOR, f, np.nan)
+
+
+def _product_terms(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the product bound's terms 2*(1-t)*log(k) and h(t)
+    h = -(t * np.log(t)) - (1.0 - t) * np.log(np.where(t < 1.0, 1.0 - t, 1.0))
+    return 2.0 * (1.0 - t) * np.log(k), h
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and the error e with s + e = a + b exactly."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _gap(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, product bound, f); g and f are NaN where l <= _L_FLOOR."""
+    log_term, h_term = _product_terms(k, t)
+    f = _taylor_f(k, t)
+    bound, e1 = _two_sum(log_term, h_term)
+    g, e2 = _two_sum(bound, -2.0 * f)
+    return g + (e1 + e2), bound, f
+
+
+def _point(k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    if k < 2:
+        raise DomainError("need k >= 2")
+    if not 0.0 < t <= 1.0:
+        raise DomainError("need t in (0, 1]")
+    return np.array([[float(k)]]), np.array([[float(t)]])
+
+
+def _defined(value: np.ndarray) -> float:
+    # the value of a 1-element kernel result; NaN means f is undefined
+    if math.isnan(value[0, 0]):
+        raise DomainError("slab lower bound vanished (t too close to 1/k); f undefined")
+    return float(value[0, 0])
+
+
+def simplex_bounds(k: int, t: float) -> tuple[float, float]:
+    """(l, u) with l = 1 - phi((k-1)/k, t) and u = phi(1/k, t), both free of
+    cancellation; l vanishes exactly when t = 1/k."""
+    lower, upper = _slab(*_point(k, t))
+    return float(lower[0, 0]), float(upper[0, 0])
 
 
 def taylor_lower_f(k: int, t: float) -> float:
@@ -82,30 +130,16 @@ def taylor_lower_f(k: int, t: float) -> float:
     Requires l_{k,t} > 0; at t = 1/k the slab degenerates (l = 0) and the
     bound is undefined.
     """
-    lower, _ = simplex_bounds(k, t)
-    if lower <= _L_FLOOR:
-        raise DomainError("slab lower bound vanished (t too close to 1/k); f undefined")
-    bracket = k / 2.0 + _u_excess(k, t) / (6.0 * lower * lower)
-    correction = bracket * concentration_radius(k, t) ** 2
-    return math.fsum([math.log(k), -correction])
-
-
-def _product_terms(k: int, t: float) -> tuple[float, float]:
-    """The two terms 2*(1-t)*log(k) and h(t) of the product bound."""
-    return 2.0 * (1.0 - t) * math.log(k), binary_entropy(t)
+    return _defined(_taylor_f(*_point(k, t)))
 
 
 def product_bound(k: int, t: float) -> float:
     """Upper bound 2*(1-t)*log(k) + h(t) on the product channel's minimum
     output entropy (asserted for t >= k^-2; smaller t is flagged)."""
-    if k < 2:
-        raise DomainError("need k >= 2")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("need t in (0, 1]")
+    k_col, t_arr = _point(k, t)
     if t < k**-2.0:
         raise DomainError("the product bound is asserted for t >= 1/k^2")
-    log_term, h_term = _product_terms(k, t)
-    return log_term + h_term
+    return float(np.add(*_product_terms(k_col, t_arr))[0, 0])
 
 
 def hastings_gap(state: QuantumState) -> tuple[float, float]:
@@ -130,46 +164,39 @@ class ViolationReport:
     violated: bool
 
     def to_json(self) -> dict:
-        return {"k": self.k, "r": self.r, "t": self.t, "g": self.g,
-                "product_bound": self.product_bound,
-                "single_lower": self.single_lower, "violated": self.violated}
+        return asdict(self)
 
 
 def gap_g(k: int, r: float) -> ViolationReport:
-    """g(k, r) = 2*(1-t)*log(k) + h(t) - 2*f(k, t) at t = k^-r.
-
-    The three terms are ~2*log(k) in size while g itself can be ~1e-12, so
-    they are combined with exact compensated summation (math.fsum, which
-    sums as if in infinite precision and rounds once).
-    """
+    """g(k, r) = 2*(1-t)*log(k) + h(t) - 2*f(k, t) at t = k^-r."""
     if k < 2:
         raise DomainError("need k >= 2")
     r = float(r)
     if not 1.0 <= r < 2.0:
         raise DomainError("need r in [1, 2)")
-    t = float(k) ** (-r)
-    f_val = taylor_lower_f(k, t)
-    log_term, h_term = _product_terms(k, t)
-    g = math.fsum([log_term, h_term, -2.0 * f_val])
-    return ViolationReport(k=int(k), r=r, t=t, g=g, product_bound=log_term + h_term,
-                           single_lower=f_val, violated=g < 0.0)
+    t = _t_grid([k], [r])
+    g, bound, f = (_defined(v) for v in _gap(np.array([[float(k)]]), t))
+    return ViolationReport(k=int(k), r=r, t=float(t[0, 0]), g=g, product_bound=bound,
+                           single_lower=f, violated=g < 0.0)
 
 
-def _gap_or_nan(k: int, r: float) -> ViolationReport:
-    try:
-        return gap_g(k, r)
-    except DomainError:
-        t = float(k) ** (-r)
-        log_term, h_term = _product_terms(k, t)
-        return ViolationReport(k=int(k), r=float(r), t=t, g=math.nan,
-                               product_bound=log_term + h_term,
-                               single_lower=math.nan, violated=False)
+@dataclass(frozen=True, eq=False)
+class ScanGrid:
+    """The gap on a (k, r) grid: `t` and `g` have shape (len(ks), len(rs)),
+    and g is NaN where f is undefined (t = 1/k, e.g. at r = 1)."""
+
+    ks: np.ndarray
+    rs: np.ndarray
+    t: np.ndarray
+    g: np.ndarray
+
+    def __len__(self) -> int:
+        return self.g.size
 
 
 @dataclass(frozen=True)
 class ScanSummary:
-    """Minimal violating dimension found on a scan grid (None if no cell
-    had g < 0)."""
+    """Smallest violating k on a scan grid (None if no cell had g < 0)."""
 
     min_k: Optional[int]
     argmin_r: Optional[float]
@@ -178,9 +205,7 @@ class ScanSummary:
     violations: int
 
     def to_json(self) -> dict:
-        return {"min_k": self.min_k, "argmin_r": self.argmin_r,
-                "g_at_min": self.g_at_min, "cells": self.cells,
-                "violations": self.violations}
+        return asdict(self)
 
 
 def k_grid(kmin: float, kmax: float, points: int) -> list[int]:
@@ -201,104 +226,79 @@ def r_grid(rmin: float, rmax: float, rstep: float) -> list[float]:
     return [rmin + j * rstep for j in range(count) if rmin + j * rstep < rmax]
 
 
-def scan_violation(
-    ks: Union[Sequence[int], Iterable[int]],
-    rs: Union[Sequence[float], Iterable[float]],
-) -> tuple[list[ViolationReport], ScanSummary]:
-    """Evaluate the gap over a (k, r) grid and locate the smallest violating k.
-
-    Cells where f is undefined (t = 1/k exactly, e.g. at r = 1) are recorded
-    with g = NaN and excluded from the search.  Rows come back in (k, r)
-    grid order.
-    """
-    ks = list(ks)
-    rs = list(rs)
-    if not ks or not rs:
-        raise DomainError("scan grid must be nonempty")
-    rows = [_gap_or_nan(k, r) for k in ks for r in rs]
-    best: Optional[ViolationReport] = None
-    violations = 0
-    for row in rows:
-        if row.violated:
-            violations += 1
-            if best is None or row.k < best.k or (row.k == best.k and row.g < best.g):
-                best = row
-    summary = ScanSummary(
-        min_k=best.k if best else None,
-        argmin_r=best.r if best else None,
-        g_at_min=best.g if best else None,
-        cells=len(rows),
-        violations=violations,
-    )
-    return rows, summary
+def scan_violation(ks: Iterable[int], rs: Iterable[float]) -> tuple[ScanGrid, ScanSummary]:
+    """The gap on a (k, r) grid, the smallest violating k and its most
+    negative g (the first such r on ties).  ks are integers >= 2 and rs lie
+    in [1, 2), both strictly increasing; cells where f is undefined (t = 1/k,
+    e.g. at r = 1) hold g = NaN and are excluded from the search."""
+    ks, rs = np.asarray(list(ks)), np.asarray(list(rs), dtype=float)
+    if ks.size == 0 or ks.dtype.kind not in "iu" or ks[0] < 2 or not np.all(np.diff(ks) > 0):
+        raise DomainError("scan ks must be nonempty integers >= 2, strictly increasing")
+    if rs.size == 0 or not (1.0 <= rs[0] and rs[-1] < 2.0 and np.all(np.diff(rs) > 0)):
+        raise DomainError("scan rs must be nonempty, strictly increasing and in [1, 2)")
+    t = _t_grid(ks, rs)
+    g = _gap(np.asarray(ks, dtype=float)[:, None], t)[0]
+    violated = g < 0.0
+    rows = np.flatnonzero(violated.any(axis=1))
+    best = (None, None, None)
+    if rows.size:
+        i = rows[0]
+        j = int(np.argmin(np.where(violated[i], g[i], 0.0)))
+        best = (int(ks[i]), float(rs[j]), float(g[i, j]))
+    return ScanGrid(ks, rs, t, g), ScanSummary(*best, int(g.size), int(violated.sum()))
 
 
-def scan_csv_text(rows: Sequence[ViolationReport]) -> str:
+def scan_csv_text(grid: ScanGrid) -> str:
     """Contour-ready CSV with header k,r,t,g (LF line endings)."""
+    r_text = [f",{r!r}" for r in grid.rs.tolist()]
     lines = ["k,r,t,g"]
-    lines.extend(f"{row.k},{row.r!r},{row.t!r},{row.g!r}" for row in rows)
+    for k, t_row, g_row in zip(grid.ks.tolist(), grid.t.tolist(), grid.g.tolist()):
+        k_text = str(k)
+        lines.extend(f"{k_text}{r},{t!r},{g!r}" for r, t, g in zip(r_text, t_row, g_row))
     return "\n".join(lines) + "\n"
 
 
-def contour_segments(rows: Sequence[ViolationReport]
+def contour_segments(grid: ScanGrid
                      ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
     """Marching-squares line segments of the g = 0 contour in (log10 k, r).
 
     Cells touching NaN values are skipped; ambiguous saddle cells are split
     by the mean-value rule.
     """
-    ks = sorted({row.k for row in rows})
-    rs = sorted({row.r for row in rows})
-    if len(ks) < 2 or len(rs) < 2:
+    g = grid.g
+    if g.shape[0] < 2 or g.shape[1] < 2:
         return []
-    index = {(row.k, row.r): row.g for row in rows}
-    grid = np.full((len(ks), len(rs)), math.nan)
-    for i, k in enumerate(ks):
-        for j, r in enumerate(rs):
-            grid[i, j] = index.get((k, r), math.nan)
-    xs = np.log10(ks)
+    # the corners of every cell, counter-clockwise from (i, j)
+    zs = np.stack([g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]])
+    above = (zs > 0.0).sum(axis=0)
+    crossed = ~np.isnan(zs).any(axis=0) & (above > 0) & (above < 4)
+    xs, rs = np.log10(grid.ks).tolist(), grid.rs.tolist()
     segments = []
-    for i in range(len(ks) - 1):
-        for j in range(len(rs) - 1):
-            z = [grid[i, j], grid[i + 1, j], grid[i + 1, j + 1], grid[i, j + 1]]
-            if any(math.isnan(v) for v in z):
-                continue
-            corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
-                       (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
-            above = [v > 0.0 for v in z]
-            if all(above) or not any(above):
-                continue
-            crossings = []
-            for e in range(4):
-                v0, v1 = z[e], z[(e + 1) % 4]
-                if (v0 > 0.0) != (v1 > 0.0):
-                    frac = -v0 / (v1 - v0)
-                    p0, p1 = corners[e], corners[(e + 1) % 4]
-                    crossings.append((p0[0] + frac * (p1[0] - p0[0]),
-                                      p0[1] + frac * (p1[1] - p0[1])))
-            if len(crossings) == 2:
-                segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                center_above = (sum(z) / 4.0) > 0.0
-                if center_above == above[0]:
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
-                else:
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
+    for i, j in zip(*np.nonzero(crossed)):
+        z = zs[:, i, j].tolist()
+        corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
+                   (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
+        crossings = []
+        for e in range(4):
+            v0, v1 = z[e], z[(e + 1) % 4]
+            if (v0 > 0.0) != (v1 > 0.0):
+                frac = -v0 / (v1 - v0)
+                p0, p1 = corners[e], corners[(e + 1) % 4]
+                crossings.append((p0[0] + frac * (p1[0] - p0[0]),
+                                  p0[1] + frac * (p1[1] - p0[1])))
+        if len(crossings) == 4 and (sum(z) / 4.0 > 0.0) == (z[0] > 0.0):
+            crossings = [crossings[0], crossings[3], crossings[1], crossings[2]]
+        segments.extend(zip(crossings[::2], crossings[1::2]))
     return segments
 
 
-def contour_svg(rows: Sequence[ViolationReport]) -> str:
+def contour_svg(grid: ScanGrid) -> str:
     """Zero contour of the scan as a plain SVG drawing of line segments."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
-    segments = contour_segments(rows)
-    ks = sorted({row.k for row in rows})
-    rs = sorted({row.r for row in rows})
-    x_lo, x_hi = math.log10(ks[0]), math.log10(ks[-1])
-    y_lo, y_hi = rs[0], rs[-1]
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
+    segments = contour_segments(grid)
+    x_lo, y_lo = math.log10(grid.ks[0]), float(grid.rs[0])
+    x_span = (math.log10(grid.ks[-1]) - x_lo) or 1.0
+    y_span = (float(grid.rs[-1]) - y_lo) or 1.0
 
     def to_px(pt: tuple[float, float]) -> tuple[float, float]:
         px = 40 + (pt[0] - x_lo) / x_span * (width - 60)

@@ -193,9 +193,9 @@ def _cmd_violation_eval(args) -> int:
 def _cmd_violation_scan(args) -> int:
     ks = additivity.k_grid(args.kmin, args.kmax, args.kpoints)
     rs = additivity.r_grid(args.rmin, args.rmax, args.rstep)
-    rows, summary = additivity.scan_violation(ks, rs)
-    csv_text = additivity.scan_csv_text(rows)
-    svg_text = additivity.contour_svg(rows) if args.svg else None
+    grid, summary = additivity.scan_violation(ks, rs)
+    csv_text = additivity.scan_csv_text(grid)
+    svg_text = additivity.contour_svg(grid) if args.svg else None
     summary_obj = summary.to_json()
     summary_obj["meta"] = _meta(args)
     _write(csv_text, args.out)

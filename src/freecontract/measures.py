@@ -177,6 +177,13 @@ def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
     # start at the zero of the two-pole model w_L/(x - L) + w_R/(x - R)
     lo, hi = xs[:-1], xs[1:]
     betas = bisect(probe, lo, hi, xs.size, lo + (hi - lo) * (ws[:-1] / (ws[:-1] + ws[1:])))
+    # a zero of G rounded onto a pole: that atom is too light to resolve
+    on_pole = np.flatnonzero((betas == lo) | (betas == hi))
+    if on_pole.size:
+        j = on_pole[0] + int(betas[on_pole[0]] == hi[on_pole[0]])
+        x, w = float(mu.positions[j]), float(ws[j])
+        raise DomainError(f"the atom at x = {x!r} of weight {w!r} is too light: "
+                          "a zero of G lies within rounding of it")
     cs = 1.0 / blockwise(lambda b: (ws / (b[:, None] - xs) ** 2).sum(axis=1),
                          xs.size, betas)
     if abs(float(cs.sum()) - variance) > 1e-10 * max(1.0, variance):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecontract.additivity import (
+    ScanGrid,
     contour_segments,
     gap_g,
     hastings_gap,
@@ -173,21 +174,21 @@ class TestHastingsGap:
 
 class TestScan:
     def test_single_point_grid(self):
-        rows, summary = scan_violation([HEADLINE_K], [HEADLINE_R])
-        assert len(rows) == 1
+        grid, summary = scan_violation([HEADLINE_K], [HEADLINE_R])
+        assert len(grid) == 1
         assert summary.min_k == HEADLINE_K
         assert summary.argmin_r == HEADLINE_R
 
     def test_no_violation_at_small_k(self):
-        rows, summary = scan_violation(k_grid(100, 1000, 10),
+        _, summary = scan_violation(k_grid(100, 1000, 10),
                                        r_grid(1.0, 2.0, 0.05))
         assert summary.min_k is None
         assert summary.violations == 0
 
     def test_r_equal_one_recorded_as_nan(self):
-        rows, _ = scan_violation([1000], [1.0])
-        assert math.isnan(rows[0].g)
-        assert not rows[0].violated
+        grid, _ = scan_violation([1000], [1.0])
+        assert math.isnan(grid.g[0, 0])
+        assert not grid.g[0, 0] < 0.0
 
     def test_grid_helpers(self):
         ks = k_grid(1e4, 1e5, 200)
@@ -201,15 +202,104 @@ class TestScan:
 class TestContour:
     def test_segments_track_zero_level(self):
         # synthetic plane g = r - 1.5: the contour is the horizontal line r = 1.5
-        from freecontract.additivity import ViolationReport
-        rows = []
-        for k in (10, 100, 1000):
-            for r in (1.0, 1.25, 1.5, 1.75):
-                rows.append(ViolationReport(k=k, r=r, t=0.0, g=r - 1.5,
-                                            product_bound=0.0, single_lower=0.0,
-                                            violated=r < 1.5))
-        segments = contour_segments(rows)
+        ks, rs = np.array([10, 100, 1000]), np.array([1.0, 1.25, 1.5, 1.75])
+        g = np.broadcast_to(rs - 1.5, (ks.size, rs.size))
+        segments = contour_segments(ScanGrid(ks, rs, np.zeros_like(g), g))
         assert segments
         for (x1, y1), (x2, y2) in segments:
             assert y1 == pytest.approx(1.5, abs=1e-12)
             assert y2 == pytest.approx(1.5, abs=1e-12)
+
+    def test_cells_with_a_nan_corner_are_skipped(self):
+        # g = r - 1.4 crosses zero in the cells of column j = 1; the NaN at
+        # (k = 10, r = 1.25) removes the first of them
+        ks, rs = np.array([10, 100, 1000]), np.array([1.0, 1.25, 1.5, 1.75])
+        g = np.tile(rs - 1.4, (ks.size, 1))
+        g[0, 1] = math.nan
+        segments = contour_segments(ScanGrid(ks, rs, np.zeros_like(g), g))
+        assert len(segments) == 1
+        (x1, y1), (x2, y2) = segments[0]
+        assert sorted([x1, x2]) == [2.0, 3.0]
+        assert y1 == pytest.approx(1.4, abs=1e-12) and y2 == pytest.approx(1.4, abs=1e-12)
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("ks, rs", [
+        ([1, 100], [1.5]),        # k below 2
+        ([100], [2.5]),           # r outside [1, 2)
+        ([100], [0.9]),
+        ([100, 100], [1.5]),      # ks not strictly increasing
+        ([200, 100], [1.5]),
+        ([100.0], [1.5]),         # ks not integers
+        ([100], [1.5, 1.4]),      # rs not strictly increasing
+        ([100], [1.2, math.nan]),
+        ([], [1.5]),
+    ])
+    def test_bad_grid_raises(self, ks, rs):
+        with pytest.raises(DomainError):
+            scan_violation(ks, rs)
+
+    def test_nan_only_where_slab_vanishes(self):
+        grid, summary = scan_violation([1000, 31114], [1.0, 1.387])
+        assert np.array_equal(np.isnan(grid.g), [[True, False], [True, False]])
+        assert summary.cells == len(grid) == 4
+        assert grid.t.shape == grid.g.shape == (2, 2)
+
+    def test_cells_equal_gap_g_bit_for_bit(self):
+        # the benchmark re-evaluates gap_g at the summary's cell, so the scan
+        # and the point function must agree exactly, across the frontier
+        ks, rs = [31000, 31114, 31500], r_grid(1.30, 1.50, 0.001)
+        grid, summary = scan_violation(ks, rs)
+        assert grid.g.shape == (3, 200)
+        assert np.any(grid.g < 0) and np.any(grid.g > 0)
+        for i, k in enumerate(ks):
+            for j, r in enumerate(rs):
+                report = gap_g(k, r)
+                assert report.t == grid.t[i, j] == float(k) ** -r
+                assert report.g == grid.g[i, j]
+        assert gap_g(summary.min_k, summary.argmin_r).g == summary.g_at_min
+
+    def test_terms_summed_exactly_near_the_zero(self):
+        # across the frontier g is the exactly rounded sum of its three terms
+        from freecontract.additivity import _product_terms, _taylor_f
+        ks = [30800, 31114, 31440, 31500]
+        grid, _ = scan_violation(ks, r_grid(1.380, 1.3905, 0.001))
+        k_col = np.asarray(ks, dtype=float)[:, None]
+        log_term, h_term = _product_terms(k_col, grid.t)
+        f = _taylor_f(k_col, grid.t)
+        for i, j in np.ndindex(grid.g.shape):
+            assert grid.g[i, j] == math.fsum([log_term[i, j], h_term[i, j], -2.0 * f[i, j]])
+
+
+def _mp_gap(k: int, t: float):
+    """g(k, t) at 50 digits straight from the definitions, at the float t."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        k, t = mp.mpf(k), mp.mpf(t)
+
+        def phi(a, b):
+            return a + b - 2 * a * b + 2 * mp.sqrt(a * b * (1 - a) * (1 - b))
+
+        lower, upper = 1 - phi((k - 1) / k, t), phi(1 / k, t)
+        radius = t * (1 + 2 * mp.sqrt((1 - t) / (t * k)))
+        f = mp.log(k) - (k / 2 + (upper - 1 / k) / (6 * lower**2)) * radius**2
+        h = -t * mp.log(t) - (1 - t) * mp.log(1 - t)
+        return 2 * (1 - t) * mp.log(k) + h - 2 * f
+
+
+class TestAgainstMpmath:
+    def test_frontier_band(self):
+        ks = [int(k) for k in np.linspace(30800, 31500, 8)]
+        grid, _ = scan_violation(ks, r_grid(1.380, 1.3905, 0.001))
+        for i, k in enumerate(ks):
+            for j in range(grid.rs.size):
+                exact = _mp_gap(k, grid.t[i, j])
+                assert abs(grid.g[i, j] - exact) <= 2e-14
+                assert (grid.g[i, j] < 0) == (exact < 0)
+
+    @pytest.mark.parametrize("k, r", [(k, r) for k in (10_000, 31_114, 61_502, 100_000)
+                                      for r in (1.0194, 1.02, 1.0206)] + [(1000, 1.00001)])
+    def test_near_r_one(self, k, r):
+        # t near 1/k, where l loses digits to 1 - (k-1)/k and to cancellation
+        g = gap_g(k, r)
+        assert abs(g.g - _mp_gap(k, g.t)) <= 1e-11 * max(1.0, abs(g.g))

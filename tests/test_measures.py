@@ -150,6 +150,13 @@ class TestNevanlinnaRho:
         assert np.all(np.abs(rho.positions - (ref.positions + c)) <= np.spacing(c))
         np.testing.assert_allclose(rho.weights, ref.weights, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_light_atom_is_named(self):
+        # the zero of G next to the atom at 1 rounds onto it; no RuntimeWarning
+        mu = make_measure([(0.0, 0.5), (1.0, 1e-20), (3.0, 0.5)])
+        with pytest.raises(DomainError, match=r"atom at x = 1\.0 of weight 1e-20"):
+            nevanlinna_rho(mu)
+
     def test_mass_equals_variance_sweep(self):
         for trial in range(100):
             rng = seeded(7, trial)
