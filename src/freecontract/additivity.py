@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qchannel import QuantumState, entropy
+from .qchannel import QuantumState, binary_entropy, concentration_radius, entropy
 
 # l is exact to ~1e-16/sqrt(k*l) relative; below this floor t is within
 # ~6e-7/sqrt(k) of 1/k, and f (which divides by l^2) is treated as undefined
@@ -74,7 +74,7 @@ def _taylor_f(k: np.ndarray, t: np.ndarray) -> np.ndarray:
     lower, _ = _slab(k, t)
     # u - 1/k = t(1 - 2/k) + 2*sqrt((t/k)(1-1/k)(1-t)): all terms nonnegative
     u_excess = t * (1.0 - 2.0 / k) + 2.0 * np.sqrt((t / k) * (1.0 - 1.0 / k) * (1.0 - t))
-    radius = t * (1.0 + 2.0 * np.sqrt((1.0 - t) / (t * k)))
+    radius = concentration_radius(k, t)
     with np.errstate(divide="ignore"):
         f = np.log(k) - (k / 2.0 + u_excess / (6.0 * lower * lower)) * radius ** 2
     return np.where(lower > _L_FLOOR, f, np.nan)
@@ -82,8 +82,7 @@ def _taylor_f(k: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _product_terms(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the product bound's terms 2*(1-t)*log(k) and h(t)
-    h = -(t * np.log(t)) - (1.0 - t) * np.log(np.where(t < 1.0, 1.0 - t, 1.0))
-    return 2.0 * (1.0 - t) * np.log(k), h
+    return 2.0 * (1.0 - t) * np.log(k), binary_entropy(t)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +285,10 @@ def contour_segments(grid: ScanGrid
                 p0, p1 = corners[e], corners[(e + 1) % 4]
                 crossings.append((p0[0] + frac * (p1[0] - p0[0]),
                                   p0[1] + frac * (p1[1] - p0[1])))
-        if len(crossings) == 4 and (sum(z) / 4.0 > 0.0) == (z[0] > 0.0):
+        # a saddle: the two corners on the centre's side of zero are joined
+        # through it, so the segments cut off the other two: crossings on
+        # edges (0, 1) + (2, 3) when that is corner 0's side, else (3, 0) + (1, 2)
+        if len(crossings) == 4 and (sum(z) / 4.0 > 0.0) != (z[0] > 0.0):
             crossings = [crossings[0], crossings[3], crossings[1], crossings[2]]
         segments.extend(zip(crossings[::2], crossings[1::2]))
     return segments

@@ -8,6 +8,13 @@ the maximally entangled (Bell) input to the product of a channel with its
 conjugate, the top output eigenvalue is at least d/(kn), which caps the
 product channel's minimum output entropy.
 
+Each reader computes only what it uses.  Output sampling draws the input
+stream in chunks of Gram matrices (the k x k output states); spectra come
+from a batched `eigvalsh`, while the concentration statistic reads only
+||lambda - 1/k||_2 = ||rho - I/k||_F and so needs no eigenvalues.  The
+h_min line search evaluates trial points by value alone and forms the
+gradient only at accepted ones.
+
 All sampling is deterministic in (seed, stream): channel isometries use the
 instance seed, input samples and optimizer restarts use caller-provided
 seeds (restart j reads stream j, so enlarging the restart budget reuses
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -43,7 +50,8 @@ class QuantumState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        # a private copy: freezing the caller's array would lock it for them
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DomainError("state matrix shape does not match dim")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -87,7 +95,7 @@ class ChannelInstance:
     seed: int
 
     def __post_init__(self):
-        v = np.asarray(self.V, dtype=complex)
+        v = np.array(self.V, dtype=complex)   # private copy, as in QuantumState
         if v.shape != (self.k * self.n, self.d):
             raise DomainError("isometry shape does not match (k*n, d)")
         if np.max(np.abs(v.conj().T @ v - np.eye(self.d))) > 1e-10:
@@ -177,44 +185,49 @@ def entropy(state_or_vector: Union[QuantumState, np.ndarray], p: float = 1.0) ->
     return float(np.log(np.sum(lam**p)) / (1.0 - p))
 
 
-def binary_entropy(t: float) -> float:
-    """-t*log(t) - (1-t)*log(1-t), natural log, 0 at the endpoints."""
-    if not 0.0 <= t <= 1.0:
+def binary_entropy(t):
+    """-t*log(t) - (1-t)*log(1-t), natural log, 0 at the endpoints.
+
+    Takes a float (returns a float) or an array (returns an array).
+    """
+    arr = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= arr) & (arr <= 1.0)):
         raise DomainError("binary entropy needs t in [0, 1]")
-    out = 0.0
-    if 0.0 < t:
-        out -= t * math.log(t)
-    if t < 1.0:
-        out -= (1.0 - t) * math.log(1.0 - t)
-    return out
+    # 0.0 - (...) keeps h(0) = +0.0
+    h = (0.0 - arr * np.log(np.where(arr > 0.0, arr, 1.0))
+         - (1.0 - arr) * np.log(np.where(arr < 1.0, 1.0 - arr, 1.0)))
+    return float(h) if h.ndim == 0 else h
 
 
-def _output_spectra_batch(ch: ChannelInstance, rng: np.random.Generator,
-                          count: int) -> np.ndarray:
-    """Sorted output spectra of `count` Haar-random pure inputs, shape (count, k)."""
-    out = np.empty((count, ch.k))
-    done = 0
-    while done < count:
+def concentration_radius(k, t):
+    """t * (1 + 2*sqrt((1-t)/(t*k))): the sampled-output L2 radius.
+
+    Takes floats (returns a float) or arrays broadcasting together.
+    """
+    k_arr, t_arr = np.asarray(k, dtype=float), np.asarray(t, dtype=float)
+    if not (np.all(k_arr >= 1.0) and np.all((0.0 < t_arr) & (t_arr <= 1.0))):
+        raise DomainError("the concentration radius needs k >= 1 and t in (0, 1]")
+    radius = t_arr * (1.0 + 2.0 * np.sqrt((1.0 - t_arr) / (t_arr * k_arr)))
+    return float(radius) if radius.ndim == 0 else radius
+
+
+def _output_grams(ch: ChannelInstance, count: int, seed: int) -> Iterator[np.ndarray]:
+    """Output states of `count` Haar-random pure inputs, in chunks of shape
+    (m, k, k); every reader of the input stream draws it here."""
+    rng = stream(seed, STREAM_INPUTS)
+    for done in range(0, count, _SAMPLE_CHUNK):
         m = min(_SAMPLE_CHUNK, count - done)
         psi = complex_normal(rng, (ch.d, m))
         psi /= np.linalg.norm(psi, axis=0, keepdims=True)
         mats = (ch.V @ psi).reshape(ch.k, ch.n, m)
-        gram = np.einsum("iac,jac->cij", mats, mats.conj())
-        out[done:done + m] = np.linalg.eigvalsh(gram)
-        done += m
-    return out
+        yield np.einsum("iac,jac->cij", mats, mats.conj())
 
 
 def sample_output_spectra(ch: ChannelInstance, count: int, seed: int) -> np.ndarray:
     """Eigenvalue vectors (ascending) of channel outputs on random pure inputs."""
     if count < 1:
         raise DomainError("need count >= 1")
-    return _output_spectra_batch(ch, stream(seed, STREAM_INPUTS), count)
-
-
-def concentration_radius(k: int, t: float) -> float:
-    """t * (1 + 2*sqrt((1-t)/(t*k))): the sampled-output L2 radius."""
-    return t * (1.0 + 2.0 * math.sqrt((1.0 - t) / (t * k)))
+    return np.concatenate([np.linalg.eigvalsh(gram) for gram in _output_grams(ch, count, seed)])
 
 
 @dataclass(frozen=True)
@@ -243,22 +256,33 @@ def concentration_stat(ch: ChannelInstance, count: int, seed: int) -> Concentrat
     if not regime_ok:
         warnings.warn("concentration radius asserted only for t <= 1 - 1/k; "
                       "reporting the formula value anyway", stacklevel=2)
-    spectra = _output_spectra_batch(ch, stream(seed, STREAM_INPUTS), count)
-    l2 = np.sqrt(np.sum((spectra - 1.0 / ch.k) ** 2, axis=1))
-    return ConcentrationStat(max_l2=float(np.max(l2)),
+    # ||lambda - 1/k||_2 = ||rho - I/k||_F: the Frobenius norm is unitarily invariant
+    diag = np.arange(ch.k)
+    max_sq = 0.0
+    for gram in _output_grams(ch, count, seed):
+        gram[:, diag, diag] -= 1.0 / ch.k
+        sq = np.sum(gram.real ** 2 + gram.imag ** 2, axis=(1, 2))
+        max_sq = max(max_sq, float(sq.max()))
+    return ConcentrationStat(max_l2=math.sqrt(max_sq),
                              bound=concentration_radius(ch.k, t),
                              regime_ok=regime_ok)
 
 
-def _entropy_and_gradient(ch: ChannelInstance, psi: np.ndarray) -> tuple[float, np.ndarray]:
+def _entropy_value(ch: ChannelInstance, psi: np.ndarray) -> tuple[float, tuple]:
+    """Output entropy at psi and the (m, log lambda, eigenvectors) its gradient reuses."""
     m = (ch.V @ psi).reshape(ch.k, ch.n)
-    rho = m @ m.conj().T
-    lam, vec = np.linalg.eigh(rho)
-    lam = np.clip(lam, 1e-18, None)
-    h = float(-np.sum(lam * np.log(lam)))
-    grad_rho = vec @ (np.diag(-np.log(lam) - 1.0)) @ vec.conj().T
-    grad = ch.V.conj().T @ (grad_rho @ m).ravel()
-    return h, grad
+    lam, vec = np.linalg.eigh(m @ m.conj().T)
+    lam = np.maximum(lam, 1e-18)
+    log_lam = np.log(lam)
+    return -float((lam * log_lam).sum()), (m, log_lam, vec)
+
+
+def _entropy_gradient(vh: np.ndarray, terms: tuple) -> np.ndarray:
+    """V* (-log(rho) - I) m: half the entropy's gradient in the real inner
+    product Re<x, y>; `vh` is V.conj().T."""
+    m, log_lam, vec = terms
+    grad_rho = (vec * (-log_lam - 1.0)) @ vec.conj().T
+    return vh @ (grad_rho @ m).ravel()
 
 
 def hmin_estimate(ch: ChannelInstance, restarts: int, seed: int) -> float:
@@ -266,21 +290,25 @@ def hmin_estimate(ch: ChannelInstance, restarts: int, seed: int) -> float:
 
     Multi-start projected gradient descent over unit input vectors (the
     entropy is concave, so rank-one inputs suffice): random start per
-    restart, tangent-space step with halving, 500-iteration cap.  The
-    result only upper-bounds the true minimum; restarts with nested seeds
-    make the estimate monotone in the restart budget.
+    restart, tangent-space step with halving, 500-iteration cap.  A trial
+    point costs one k x k eigendecomposition; the gradient is formed only
+    at accepted points, from that decomposition and a V* taken once per
+    call.  The result only upper-bounds the true minimum; restarts with
+    nested seeds make the estimate monotone in the restart budget.
     """
     if restarts < 1:
         raise DomainError("need restarts >= 1")
+    vh = ch.V.conj().T
     best = math.inf
     for j in range(restarts):
         rng = stream(seed, STREAM_RESTART_BASE + j)
         psi = complex_normal(rng, ch.d)
         psi /= np.linalg.norm(psi)
-        value, grad = _entropy_and_gradient(ch, psi)
+        value, terms = _entropy_value(ch, psi)
+        grad = _entropy_gradient(vh, terms)
         step = 1.0
         for _ in range(500):
-            tangent = grad - np.real(np.vdot(psi, grad)) * psi
+            tangent = grad - np.vdot(psi, grad).real * psi
             gnorm = np.linalg.norm(tangent)
             if gnorm < 1e-12:
                 break
@@ -288,9 +316,9 @@ def hmin_estimate(ch: ChannelInstance, restarts: int, seed: int) -> float:
             for _ in range(30):
                 cand = psi - step * tangent
                 cand /= np.linalg.norm(cand)
-                cand_value, cand_grad = _entropy_and_gradient(ch, cand)
+                cand_value, terms = _entropy_value(ch, cand)
                 if cand_value < value - 1e-14:
-                    psi, value, grad = cand, cand_value, cand_grad
+                    psi, value, grad = cand, cand_value, _entropy_gradient(vh, terms)
                     step *= 1.3
                     improved = True
                     break

@@ -222,6 +222,26 @@ class TestContour:
         assert sorted([x1, x2]) == [2.0, 3.0]
         assert y1 == pytest.approx(1.4, abs=1e-12) and y2 == pytest.approx(1.4, abs=1e-12)
 
+    @pytest.mark.parametrize("corners", [(3.0, -1.0, 1.0, -1.0), (1.0, -1.0, 1.0, -3.0)])
+    def test_saddle_keeps_the_centre_with_its_corners(self, corners):
+        # bilinear cell with corners (counter-clockwise from (0, 0)) of
+        # alternating sign: the mean-value rule joins the two corners that
+        # share the centre's sign, so no segment separates them from it
+        z0, z1, z2, z3 = corners
+        g = np.array([[z0, z3], [z1, z2]])
+        segments = contour_segments(ScanGrid(np.array([1, 10]), np.array([0.0, 1.0]),
+                                             np.zeros_like(g), g))
+        assert len(segments) == 2
+        centre_sign = sum(corners) > 0.0
+        points = [(0.5, 0.5)] + [p for p, z in zip([(0, 0), (1, 0), (1, 1), (0, 1)], corners)
+                                 if (z > 0.0) == centre_sign]
+
+        def side(p, a, b):
+            return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) > 0.0
+
+        for a, b in segments:
+            assert len({side(p, a, b) for p in points}) == 1
+
 
 class TestScanGrid:
     @pytest.mark.parametrize("ks, rs", [

@@ -8,11 +8,14 @@ from freecontract.errors import DomainError
 from freecontract.qchannel import (
     ChannelInstance,
     QuantumState,
+    _entropy_gradient,
+    _entropy_value,
     apply_channel,
     apply_complementary,
     apply_conjugate_channel,
     bell_output,
     binary_entropy,
+    concentration_radius,
     concentration_stat,
     entropy,
     hmin_estimate,
@@ -20,7 +23,7 @@ from freecontract.qchannel import (
     random_density_matrix,
     sample_output_spectra,
 )
-from freecontract.rng import complex_normal, stream
+from freecontract.rng import STREAM_RESTART_BASE, complex_normal, stream
 from freecontract.tnorm import default_probes, kkt_membership
 from freecontract.additivity import simplex_bounds
 
@@ -29,6 +32,49 @@ LOG2 = math.log(2.0)
 
 def _random_state(dim, seed):
     return random_density_matrix(dim, stream(seed, 0))
+
+
+def _reference_hmin(ch, restarts, seed):
+    """The line search as first written: the entropy and its full gradient
+    at every trial point, V* formed at each evaluation, starts drawn as
+    (X + iY)/sqrt(2)."""
+    def entropy_and_gradient(psi):
+        m = (ch.V @ psi).reshape(ch.k, ch.n)
+        rho = m @ m.conj().T
+        lam, vec = np.linalg.eigh(rho)
+        lam = np.clip(lam, 1e-18, None)
+        h = float(-np.sum(lam * np.log(lam)))
+        grad_rho = vec @ (np.diag(-np.log(lam) - 1.0)) @ vec.conj().T
+        grad = ch.V.conj().T @ (grad_rho @ m).ravel()
+        return h, grad
+
+    best = math.inf
+    for j in range(restarts):
+        rng = stream(seed, STREAM_RESTART_BASE + j)
+        psi = (rng.standard_normal(ch.d) + 1j * rng.standard_normal(ch.d)) / np.sqrt(2.0)
+        psi /= np.linalg.norm(psi)
+        value, grad = entropy_and_gradient(psi)
+        step = 1.0
+        for _ in range(500):
+            tangent = grad - np.real(np.vdot(psi, grad)) * psi
+            gnorm = np.linalg.norm(tangent)
+            if gnorm < 1e-12:
+                break
+            improved = False
+            for _ in range(30):
+                cand = psi - step * tangent
+                cand /= np.linalg.norm(cand)
+                cand_value, cand_grad = entropy_and_gradient(cand)
+                if cand_value < value - 1e-14:
+                    psi, value, grad = cand, cand_value, cand_grad
+                    step *= 1.3
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        best = min(best, value)
+    return best
 
 
 class TestChannelConstruction:
@@ -168,6 +214,23 @@ class TestEntropy:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
 
+    def test_binary_entropy_array_form(self):
+        t = np.array([[0.0, 1e-3, 0.25], [0.5, 0.75, 1.0]])
+        h = binary_entropy(t)
+        assert h.shape == t.shape
+        for ti, hi in zip(t.ravel(), h.ravel()):
+            assert hi == binary_entropy(float(ti))
+            if 0.0 < ti < 1.0:
+                exact = -ti * math.log(ti) - (1.0 - ti) * math.log1p(-ti)
+                assert hi == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+    def test_binary_entropy_domain(self, t):
+        with pytest.raises(DomainError):
+            binary_entropy(t)
+        with pytest.raises(DomainError):
+            binary_entropy(np.array([0.5, t]))
+
 
 class TestOutputSpectra:
     def test_valid_simplex_points(self):
@@ -202,6 +265,30 @@ class TestOutputSpectra:
 
 
 class TestConcentration:
+    @pytest.mark.parametrize("k, n, t", [(2, 9, 0.3), (4, 12, 0.5), (6, 20, 0.3)])
+    def test_eigen_free_statistic_matches_spectra(self, k, n, t):
+        # both read the same input stream; 3000 samples span two chunks
+        ch = random_channel(k, n, t, seed=3)
+        stat = concentration_stat(ch, 3000, seed=4)
+        spectra = sample_output_spectra(ch, 3000, seed=4)
+        ref = float(np.max(np.sqrt(np.sum((spectra - 1.0 / k) ** 2, axis=1))))
+        assert abs(stat.max_l2 - ref) <= 1e-14 * ref
+
+    def test_radius_array_form(self):
+        ks, ts = np.array([[1.0], [4.0], [1e5]]), np.array([1e-10, 0.1, 0.5, 1.0])
+        radius = concentration_radius(ks, ts)
+        assert radius.shape == (3, 4)
+        for i, k in enumerate(ks[:, 0]):
+            for j, t in enumerate(ts):
+                assert radius[i, j] == concentration_radius(int(k), float(t))
+                assert radius[i, j] == t * (1.0 + 2.0 * math.sqrt((1.0 - t) / (t * k)))
+        assert concentration_radius(4, 0.1) == pytest.approx(0.4, abs=1e-12)
+
+    @pytest.mark.parametrize("k, t", [(0, 0.5), (4, 0.0), (4, 1.5), (4, math.nan)])
+    def test_radius_domain(self, k, t):
+        with pytest.raises(DomainError):
+            concentration_radius(k, t)
+
     def test_bound_holds_at_moderate_scale(self):
         ch = random_channel(4, 250, 0.1, seed=1)
         stat = concentration_stat(ch, 2000, seed=2)
@@ -248,6 +335,34 @@ class TestHminEstimate:
         est = hmin_estimate(ch, 4, seed=10)
         assert est >= math.log(4) - 4 * (stat.bound * 1.05) ** 2 - 0.1
 
+    @pytest.mark.parametrize("k, n, t", [(1, 8, 0.5), (2, 9, 0.3), (3, 8, 0.5), (4, 10, 0.3),
+                                         (5, 8, 0.5), (6, 7, 0.3), (3, 5, 1.0)])
+    def test_matches_every_trial_gradient_reference(self, k, n, t):
+        # value-only trials and one V* per call change no bit of the search
+        ch = random_channel(k, n, t, seed=40 + k)
+        assert hmin_estimate(ch, 2, seed=k) == _reference_hmin(ch, 2, seed=k)
+
+    def test_gradient_matches_finite_differences(self):
+        # along a tangent direction delta (Re<psi, delta> = 0) the unit-norm
+        # entropy changes at rate 2 Re<delta, grad>
+        ch = random_channel(3, 7, 0.4, seed=17)
+        rng = stream(18, 1)
+        psi = complex_normal(rng, ch.d)
+        psi /= np.linalg.norm(psi)
+        value, terms = _entropy_value(ch, psi)
+        grad = _entropy_gradient(ch.V.conj().T, terms)
+
+        def h_at(x):
+            return entropy(apply_channel(ch, QuantumState.pure(x)))
+
+        assert value == pytest.approx(h_at(psi), abs=1e-12)
+        eps = 1e-5
+        for _ in range(5):
+            delta = complex_normal(rng, ch.d)
+            delta -= np.real(np.vdot(psi, delta)) * psi
+            slope = (h_at(psi + eps * delta) - h_at(psi - eps * delta)) / (2.0 * eps)
+            assert slope == pytest.approx(2.0 * np.real(np.vdot(delta, grad)), rel=1e-6, abs=1e-9)
+
     def test_product_vectors_found_above_threshold(self):
         # for t*k*n > (k-1)*(n-1) the random range generically contains
         # product vectors, so the true minimum output entropy is 0; the
@@ -257,7 +372,35 @@ class TestHminEstimate:
         assert est < 0.01
 
 
+class TestComplexNormal:
+    @pytest.mark.parametrize("shape", [1, 7, (5, 3), (64, 33)])
+    def test_bits_match_the_complex_quotient(self, shape):
+        rng = stream(9, 1)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        z = complex_normal(stream(9, 1), shape)
+        ref = (x + 1j * y) / np.sqrt(2)
+        assert z.shape == ref.shape
+        np.testing.assert_array_equal(z.view(np.float64), ref.view(np.float64))
+
+
 class TestQuantumStateValidation:
+    def test_caller_array_stays_writable(self):
+        a = np.eye(2, dtype=complex) / 2
+        state = QuantumState(2, a)
+        assert a.flags.writeable
+        assert not state.matrix.flags.writeable
+        a[0, 0] = 0.0
+        assert state.matrix[0, 0] == 0.5
+
+    def test_caller_isometry_stays_writable(self):
+        v = np.zeros((6, 4), dtype=complex)
+        v[:4, :4] = np.eye(4)
+        ch = ChannelInstance(k=2, n=3, t=4 / 6, d=4, V=v, seed=0)
+        assert v.flags.writeable
+        assert not ch.V.flags.writeable
+        v[0, 0] = 2.0
+        assert ch.V[0, 0] == 1.0
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             QuantumState(2, np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
