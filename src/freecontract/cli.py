@@ -56,6 +56,12 @@ def _meta(args) -> dict:
     return {"seed": args.seed, "generator": GENERATOR_NAME}
 
 
+def _write_json(obj: dict, args) -> None:
+    """Add the run's meta to obj and write it as the primary artifact."""
+    obj["meta"] = _meta(args)
+    _write(_json_text(obj), args.out)
+
+
 # -- measure ----------------------------------------------------------------
 
 
@@ -64,8 +70,7 @@ def _cmd_measure_rho(args) -> int:
     rho = measures.nevanlinna_rho(mu)
     obj = measures.measure_to_json(rho)
     obj["total_mass"] = rho.total_mass
-    obj["meta"] = _meta(args)
-    _write(_json_text(obj), args.out)
+    _write_json(obj, args)
     return 0
 
 
@@ -75,9 +80,7 @@ def _cmd_measure_rho(args) -> int:
 def _cmd_power(args) -> int:
     mu = measures.load_measure(args.measure)
     result = freepower.free_power(mu, args.T)
-    obj = result.to_json(density_grid=args.density_grid)
-    obj["meta"] = _meta(args)
-    _write(_json_text(obj), args.out)
+    _write_json(result.to_json(density_grid=args.density_grid), args)
     return 0
 
 
@@ -95,9 +98,7 @@ def _cmd_tnorm(args) -> int:
                            else str(v) for v in row) + "\n")
         _write(buf.getvalue(), args.out)
     else:
-        obj = report.to_json()
-        obj["meta"] = _meta(args)
-        _write(_json_text(obj), args.out)
+        _write_json(report.to_json(), args)
     return 0
 
 
@@ -153,8 +154,7 @@ def _cmd_channel_bell(args) -> int:
         "entropy": qchannel.entropy(out),
         "product_bound": additivity.product_bound(ch.k, ch.t_effective),
     })
-    obj["meta"] = _meta(args)
-    _write(_json_text(obj), args.out)
+    _write_json(obj, args)
     return 0
 
 
@@ -164,8 +164,7 @@ def _cmd_channel_concentration(args) -> int:
     obj = qchannel.metadata(ch)
     obj.update(stat.to_json())
     obj["count"] = args.count
-    obj["meta"] = _meta(args)
-    _write(_json_text(obj), args.out)
+    _write_json(obj, args)
     return 0
 
 
@@ -174,8 +173,7 @@ def _cmd_channel_hmin(args) -> int:
     estimate = qchannel.hmin_estimate(ch, args.restarts, args.seed)
     obj = qchannel.metadata(ch)
     obj.update({"hmin_estimate": estimate, "restarts": args.restarts})
-    obj["meta"] = _meta(args)
-    _write(_json_text(obj), args.out)
+    _write_json(obj, args)
     return 0
 
 
@@ -183,10 +181,7 @@ def _cmd_channel_hmin(args) -> int:
 
 
 def _cmd_violation_eval(args) -> int:
-    report = additivity.gap_g(args.k, args.r)
-    obj = report.to_json()
-    obj["meta"] = _meta(args)
-    _write(_json_text(obj), args.out)
+    _write_json(additivity.gap_g(args.k, args.r).to_json(), args)
     return 0
 
 

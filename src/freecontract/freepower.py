@@ -24,14 +24,20 @@ sign-change brackets, solved together by one vectorized safeguarded Newton
 iteration on functions with their bracketing poles cleared; the height
 y = f^2 solves its secular equation by monotone Newton steps.  Everything
 is computed in coordinates centred at the mean of mu and shifted back at
-the public boundary, so an offset spectrum keeps its digits.  Each
-component is integrated once, by a midpoint rule in the curve parameter
-with the edge-taming
+the public boundary, so an offset spectrum keeps its digits.
+
+The support geometry is four arrays, the edges u_lo, u_hi of the k maximal
+intervals of B in order and the edges x_lo, x_hi of their images, and every
+reader indexes them: a point finds its component by one search against the
+image edges, and subordination solves all points in one bracketed Newton
+pass with per-point brackets.  All components are integrated in one pass,
+by a midpoint rule in the curve parameter with the edge-taming
 substitution u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the
 square-root edge behavior of the density becomes smooth: the cumulative
-sums are the component's CDF table and its last entry is the component's
-mass.  The support geometry is all a norm needs, so the tables are built
-only when first read.
+sums form one (k, nodes + 2) CDF table whose last column is the
+components' masses.  Components whose images touch merge into one support
+interval, with their masses summed.  The support geometry is all a norm
+needs, so the table is built only when first read.
 """
 
 from __future__ import annotations
@@ -39,12 +45,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .measures import AtomicMeasure, cauchy_pair, moments, nevanlinna_rho
+from .measures import NEWTON_TOL, AtomicMeasure, cauchy_pair, moments, nevanlinna_rho
 from .rootfind import bisect, blockwise, damped_newton
 
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
@@ -56,24 +62,14 @@ _CDF_GRID = 8192          # midpoint nodes per component table
 _HEIGHT_STEPS = 100
 
 
-@dataclass(frozen=True)
-class _Curve:
-    """One maximal interval of B and its image support interval, centred
-    (u - tau and x - T*tau)."""
-
-    u_lo: float
-    u_hi: float
-    x_lo: float
-    x_hi: float
-
-
 class _PowerKernel:
     """Subordination data for one (mu, T > 1) pair, built in cached layers.
 
     Construction computes only the moments and rho; the component geometry
-    (`curves`) is located on first use, and the CDF tables (`cdf_tables`) of
-    the components, whose last entries are the a.c. masses (`masses`), on
-    first read.
+    (`curves`, four edge arrays, and `starts`, where each merged support
+    component begins) is located on first use, and the one CDF table of all
+    components (`cdf_table`), whose last column is the a.c. masses, on first
+    read.
 
     Everything is held in coordinates centred at the mean tau of mu: the
     atoms `xs` of mu, the rho atoms `beta`, the curve points w, and on the
@@ -174,8 +170,9 @@ class _PowerKernel:
     # -- component geometry ----------------------------------------------
 
     @cached_property
-    def curves(self) -> list[_Curve]:
-        """Maximal intervals of B with their image support intervals."""
+    def curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(u_lo, u_hi, x_lo, x_hi): the k maximal intervals of B, in order,
+        and their image support intervals, centred."""
         if self.var <= 0.0:
             raise DomainError("subordination machinery needs a measure with positive variance")
         beta, c, s, m = self.beta, self.c, self.s, self.beta.size
@@ -240,93 +237,84 @@ class _PowerKernel:
                        np.r_[beta[0], hi[split], xstar[split], beta[-1] + reach], m,
                        beta[pole] - sign * np.sqrt(c[pole] / s))
         u_lo, u_hi = edges[:k], edges[k:]
-        curves = []
-        for a, b in zip(u_lo.tolist(), u_hi.tolist()):
-            if not np.any((beta > a) & (beta < b)):
-                raise ConvergenceError("a located component contains no rho atom")
-            x_lo = float(self.h(np.array([a + 0j]))[0].real)
-            x_hi = float(self.h(np.array([b + 0j]))[0].real)
-            curves.append(_Curve(a, b, x_lo, x_hi))
-        return curves
+        if np.any(np.searchsorted(beta, u_hi) <= np.searchsorted(beta, u_lo, "right")):
+            raise ConvergenceError("a located component contains no rho atom")
+        # h at the edges, each summed over its own row: bit for bit what h
+        # gives for that edge alone
+        z = edges + 0j
+        x = (z + (self.T - 1.0) * (c / (z[:, None] - beta)).sum(axis=1)).real
+        return u_lo, u_hi, x[:k], x[k:]
 
     @cached_property
-    def cdf_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(x grid, cumulative a.c. mass) along each curve's component."""
-        return [self._cdf_table(c) for c in self.curves]
-
-    @property
-    def masses(self) -> list[float]:
-        """Absolutely continuous mass of each curve's component: the last
-        entry of its CDF table."""
-        return [cum[-1] for _, cum in self.cdf_tables]
+    def starts(self) -> np.ndarray:
+        """Index of the first curve of each support component: a curve joins
+        the previous component when its image starts within 1e-10 of where
+        that one ends."""
+        _, _, x_lo, x_hi = self.curves
+        return np.flatnonzero(np.r_[True, x_lo[1:] - x_hi[:-1] > _COMPONENT_MERGE_TOL])
 
     # -- quadrature --------------------------------------------------------
 
-    def _on_curve(self, theta: np.ndarray, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
-        """Curve points w at u = u_lo + (u_hi - u_lo)*sin(theta)^2 and the
-        density times dx/dtheta there.
+    @cached_property
+    def cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, cumulative a.c. mass), each of shape (k, _CDF_GRID + 2): row i
+        tabulates curve i's component, and the last column of the second
+        array holds the components' masses.
 
-        dx/du = |H'(w)|^2 / Re H'(w) on the curve; at the component edges
-        H' -> 0 and the integrand vanishes.
+        One midpoint rule in theta covers every curve, at
+        u = u_lo + (u_hi - u_lo)*sin(theta)^2.  The nodes
+        theta_i = (i + 1/2)*step never sit on an edge, where mu may have an
+        atom; each solves its curve point once for both x = Re h(w) and the
+        integrand, the density times dx/dtheta, with dx/du = |h'|^2/Re h'
+        (0 at the edges, where h' -> 0), and is credited with half of its
+        own cell.  The edges (x_lo, 0) and (x_hi, mass) bracket each row.
         """
-        width = curve.u_hi - curve.u_lo
-        sin_t = np.sin(theta)
-        u = curve.u_lo + width * sin_t * sin_t
-        du = width * np.sin(2.0 * theta)
-        omega = self.curve_point(u)
-        dens = -self.g_mu(omega).imag / math.pi
-        hp = self.h_prime(omega)
-        re_hp = hp.real
-        safe = re_hp > 0.0
-        xprime = np.where(safe, np.abs(hp) ** 2 / np.where(safe, re_hp, 1.0), 0.0)
-        return omega, dens * xprime * du
-
-    def _cdf_table(self, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint-rule table of the cumulative a.c. mass against x.
-
-        The nodes theta_i = (i + 1/2)*step never sit on an edge, where mu may
-        have an atom; each solves its curve point once for both x = Re H(w)
-        and the integrand, and is credited with half of its own cell.  The
-        edges (x_lo, 0) and (x_hi, total) bracket the table.
-        """
-        def nodes(theta: np.ndarray) -> np.ndarray:
-            omega, vals = self._on_curve(theta, curve)
-            return np.column_stack([self.h(omega).real, vals])
-
+        u_lo, u_hi, x_lo, x_hi = self.curves
         step = 0.5 * math.pi / _CDF_GRID
-        table = blockwise(nodes, self.beta.size, (np.arange(_CDF_GRID) + 0.5) * step)
-        cell = table[:, 1] * step
-        cum = np.cumsum(cell)
-        return (np.r_[curve.x_lo, table[:, 0], curve.x_hi],
-                np.r_[0.0, cum - 0.5 * cell, cum[-1]])
+        theta = (np.arange(_CDF_GRID) + 0.5) * step
+        sin_t = np.sin(theta)
+        width = (u_hi - u_lo)[:, None]
+        u = u_lo[:, None] + width * sin_t * sin_t
+        du = width * np.sin(2.0 * theta)
+
+        def nodes(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+            omega = self.curve_point(u)
+            dens = -self.g_mu(omega).imag / math.pi
+            hp = self.h_prime(omega)
+            re_hp = hp.real
+            safe = re_hp > 0.0
+            xprime = np.where(safe, np.abs(hp) ** 2 / np.where(safe, re_hp, 1.0), 0.0)
+            return np.column_stack([self.h(omega).real, dens * xprime * du])
+
+        table = blockwise(nodes, self.beta.size, u.ravel(), du.ravel())
+        cell = table[:, 1].reshape(u.shape) * step
+        cum = np.cumsum(cell, axis=1)
+        return (np.column_stack([x_lo, table[:, 0].reshape(u.shape), x_hi]),
+                np.column_stack([np.zeros(u_lo.size), cum - 0.5 * cell, cum[:, -1]]))
 
     # -- subordination -----------------------------------------------------
 
-    def solve_u(self, x: np.ndarray, curve: _Curve) -> np.ndarray:
-        """Invert x = h(u + i f(u)) on one component by safeguarded Newton:
-        Re h increases along the curve with dx/du = |h'|^2/Re h'."""
-        x = np.asarray(x, dtype=float)
+    def subordinate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, inside): the mask of the absolute x strictly inside a
+        support interval, compared where the public edges x_lo + shift are,
+        and their centred subordination points.
+
+        Each x belongs to the first curve whose image ends above it; u on
+        that curve solves x = Re h(u + i f(u)) by safeguarded Newton, since
+        Re h increases along the curve with dx/du = |h'|^2/Re h'.
+        """
+        u_lo, u_hi, x_lo, x_hi = self.curves
+        comp = np.minimum(np.searchsorted(x_hi + self.shift, x, "right"), u_lo.size - 1)
+        inside = (x > x_lo[comp] + self.shift) & (x < x_hi[comp] + self.shift)
+        target, comp = x[inside] - self.shift, comp[inside]
 
         def probe(u: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             omega = self.curve_point(u)
             hp = self.h_prime(omega)
-            return self.h(omega).real - x[idx], np.abs(hp) ** 2 / hp.real
+            return self.h(omega).real - target[idx], np.abs(hp) ** 2 / hp.real
 
-        return bisect(probe, np.full_like(x, curve.u_lo), np.full_like(x, curve.u_hi),
-                      self.beta.size)
-
-    def subordinate(self, x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(omega, inside) per component: the mask of the x strictly inside
-        its support interval (and inside no earlier one), compared where the
-        public edges x_lo + shift are, and their centred subordination
-        points."""
-        seen = np.zeros(x.shape, dtype=bool)
-        for curve in self.curves:
-            inside = (x > curve.x_lo + self.shift) & (x < curve.x_hi + self.shift) & ~seen
-            if not np.any(inside):
-                continue
-            seen |= inside
-            yield self.curve_point(self.solve_u(x[inside] - self.shift, curve)), inside
+        u = bisect(probe, u_lo[comp], u_hi[comp], self.beta.size)
+        return self.curve_point(u), inside
 
 
 @dataclass(frozen=True)
@@ -340,8 +328,9 @@ class FreePowerResult:
     the boundary height is positive, and `boundary_roots` the real critical
     points of H (the endpoints of those intervals).  `x3`/`x4` are the
     rightmost support edge and rightmost critical point (None when there
-    is no a.c. part).  The CDF tables, whose ends are the matching a.c.
-    masses (`ac_masses`), are integrated on first read.
+    is no a.c. part).  The CDF table, whose row ends are the curves' a.c.
+    masses (summed per component in `ac_masses`), is integrated on first
+    read.
     """
 
     T: float
@@ -359,7 +348,7 @@ class FreePowerResult:
         ConvergenceError unless atomic plus a.c. mass is 1 within 1e-6."""
         kernel = self._kernel
         masses = () if kernel is None else tuple(
-            sum(kernel.masses[span]) for span in _merge_spans(kernel.curves))
+            np.add.reduceat(kernel.cdf_table[1][:, -1], kernel.starts).tolist())
         ac, atomic = sum(masses), self.atomic_mass
         if not abs(ac + atomic - 1.0) <= _MASS_TOL:   # a NaN mass fails too
             raise ConvergenceError(f"mass conservation violated: a.c. {ac:.9f} + "
@@ -389,8 +378,8 @@ class FreePowerResult:
         out = np.zeros_like(xq)
         kernel = self._kernel
         if kernel is not None:
-            for omega, inside in kernel.subordinate(xq):
-                out[inside] = np.maximum(-kernel.g_mu(omega).imag / math.pi, 0.0)
+            omega, inside = kernel.subordinate(xq)
+            out[inside] = np.maximum(-kernel.g_mu(omega).imag / math.pi, 0.0)
         return float(out[0]) if scalar else out
 
     def subordination(self, x) -> np.ndarray | complex:
@@ -399,14 +388,10 @@ class FreePowerResult:
         if kernel is None:
             raise DomainError("no a.c. support: subordination undefined")
         scalar = np.isscalar(x)
-        xq = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(xq.shape, dtype=complex)
-        seen = np.zeros(xq.shape, dtype=bool)
-        for omega, inside in kernel.subordinate(xq):
-            out[inside] = omega + kernel.tau
-            seen |= inside
-        if not np.all(seen):
+        omega, inside = kernel.subordinate(np.atleast_1d(np.asarray(x, dtype=float)))
+        if not np.all(inside):
             raise DomainError("x must lie strictly inside an a.c. support component")
+        out = omega + kernel.tau
         return complex(out[0]) if scalar else out
 
     def cdf(self, x) -> np.ndarray | float:
@@ -415,15 +400,12 @@ class FreePowerResult:
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xq)
         if self.ac_masses:   # the first read integrates and checks the masses
-            for xs, cum in self._kernel.cdf_tables:
+            for xs, cum in zip(*self._kernel.cdf_table):
                 out += np.interp(xq - self._kernel.shift, xs, cum, left=0.0,
                                  right=cum[-1])
         if self.atoms:
-            pos = np.array([p for p, _ in self.atoms])
-            mass = np.array([m for _, m in self.atoms])
-            idx = np.searchsorted(pos, xq, side="right")
-            cum_atoms = np.concatenate([[0.0], np.cumsum(mass)])
-            out += cum_atoms[idx]
+            pos, mass = np.array(self.atoms).T
+            out += np.r_[0.0, np.cumsum(mass)][np.searchsorted(pos, xq, side="right")]
         return float(out[0]) if scalar else out
 
     def to_json(self, density_grid: int = 0) -> dict:
@@ -476,22 +458,13 @@ def support_components(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float]
     return free_power(mu, T).support_components
 
 
-def _bt_components(kernel: Optional[_PowerKernel]) -> tuple[tuple[float, float], ...]:
-    if kernel is None:
-        return ()
-    return tuple((c.u_lo + kernel.tau, c.u_hi + kernel.tau) for c in kernel.curves)
+def _bt_components(kernel: _PowerKernel) -> tuple[tuple[float, float], ...]:
+    u_lo, u_hi, _, _ = kernel.curves
+    return tuple(zip((u_lo + kernel.tau).tolist(), (u_hi + kernel.tau).tolist()))
 
 
 def _boundary_roots(bt: Sequence[tuple[float, float]]) -> tuple[float, ...]:
     return tuple(sorted(e for c in bt for e in c))
-
-
-def _merge_spans(curves: Sequence[_Curve]) -> list[slice]:
-    """The curves of each support component: a curve joins the previous
-    component when its image starts within 1e-10 of where that one ends."""
-    starts = [i for i in range(len(curves))
-              if i == 0 or curves[i].x_lo - curves[i - 1].x_hi > _COMPONENT_MERGE_TOL]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(curves)])]
 
 
 def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
@@ -536,7 +509,7 @@ def power_cauchy_pair(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex,
     return cauchy_pair(mu, kernel.invert_h(z, 1e-12 * max(1.0, abs(z))))
 
 
-def power_voiculescu(mu: AtomicMeasure, T: float, z: complex, tol: float = 1e-12) -> complex:
+def power_voiculescu(mu: AtomicMeasure, T: float, z: complex) -> complex:
     """Inverse transform phi of the T-th power at z, computed through
     subordination (never through the linearization identity).
 
@@ -557,7 +530,7 @@ def power_voiculescu(mu: AtomicMeasure, T: float, z: complex, tol: float = 1e-12
         _, hp = kernel.h_pair(omega)
         return 1.0 / g, (-gp / (g * g)) / hp
 
-    return damped_newton(f_pair, z, z, tol, "inverting the power's F; "
+    return damped_newton(f_pair, z, z, NEWTON_TOL, "inverting the power's F; "
                          "z is outside the supported regime") - z
 
 
@@ -575,11 +548,13 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
     if T < 1.0:
         raise DomainError("powers are defined for T >= 1 only")
     kernel = None if T == 1.0 or mu.n_atoms == 1 else _PowerKernel(mu, T)
-    curves = kernel.curves if kernel is not None else []
-    comps = tuple((curves[span][0].x_lo + kernel.shift,
-                   curves[span][-1].x_hi + kernel.shift)
-                  for span in _merge_spans(curves))
-    bt = _bt_components(kernel)
+    comps = bt = ()
+    if kernel is not None:
+        _, _, x_lo, x_hi = kernel.curves
+        first = kernel.starts
+        comps = tuple(zip((x_lo[first] + kernel.shift).tolist(),
+                          (x_hi[np.r_[first[1:], x_lo.size] - 1] + kernel.shift).tolist()))
+        bt = _bt_components(kernel)
     roots = _boundary_roots(bt)
     return FreePowerResult(
         T=float(T),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .rootfind import bisect, blockwise, damped_newton
 
 MERGE_TOL = 1e-12   # positions closer than this collapse to one atom
 MASS_TOL = 1e-12    # relative bookkeeping slack on total mass
+NEWTON_TOL = 1e-12  # residual at which the inverse transforms stop
 
 
 @dataclass(frozen=True)
@@ -191,13 +193,13 @@ def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
     return AtomicMeasure(betas + mean, cs, float(cs.sum()))
 
 
-def voiculescu_transform(mu: AtomicMeasure, z: complex, tol: float = 1e-12) -> complex:
+def voiculescu_transform(mu: AtomicMeasure, z: complex) -> complex:
     """phi(z) = F^{-1}(z) - z by damped Newton iteration started at w = z.
 
     Supported for z high enough in the upper half plane that the iteration
     contracts (|z| >= 4*(|mean| + 2*stddev + max|x_i|) is safe); elsewhere a
     ConvergenceError signals that z is outside the supported regime.  The
-    result satisfies |F(z + phi) - z| < 10*tol.
+    result satisfies |F(z + phi) - z| < NEWTON_TOL.
     """
     if not mu.is_probability():
         raise DomainError("the inverse transform is defined for probability measures")
@@ -210,7 +212,7 @@ def voiculescu_transform(mu: AtomicMeasure, z: complex, tol: float = 1e-12) -> c
         gp = complex(-np.sum(ws * inv * inv))
         return 1.0 / g, -gp / (g * g)
 
-    return damped_newton(f_pair, z, z, tol,
+    return damped_newton(f_pair, z, z, NEWTON_TOL,
                          "inverting F; z is outside the supported regime") - z
 
 
@@ -224,6 +226,7 @@ class HermitianSpec:
 
     `eigenvalues` are the distinct eigenvalues in strictly increasing order
     and `multiplicities` the matching eigenspace dimensions, summing to k.
+    The spectral measure and its moments are built once, on first use.
     """
 
     k: int
@@ -258,17 +261,25 @@ class HermitianSpec:
         return cls(int(vals.size), xi, mult)
 
     def measure(self) -> AtomicMeasure:
-        """Normalized spectral distribution: weight D_i/k at eigenvalue x_i."""
-        return AtomicMeasure(self.eigenvalues.copy(),
-                             self.multiplicities / self.k, 1.0)
+        """Normalized spectral distribution: weight D_i/k at eigenvalue x_i
+        (one shared, read-only instance)."""
+        return self._measure
+
+    @cached_property
+    def _measure(self) -> AtomicMeasure:
+        return AtomicMeasure(self.eigenvalues, self.multiplicities / self.k, 1.0)
+
+    @cached_property
+    def _moments(self) -> tuple[float, float]:
+        return moments(self._measure)
 
     @property
     def mean(self) -> float:
-        return moments(self.measure())[0]
+        return self._moments[0]
 
     @property
     def variance(self) -> float:
-        return moments(self.measure())[1]
+        return self._moments[1]
 
     @property
     def sigma(self) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Union
 
 import numpy as np
@@ -122,33 +122,27 @@ def random_channel(k: int, n: int, t: float, seed: int) -> ChannelInstance:
                            V=haar_columns(k * n, d, seed), seed=int(seed))
 
 
-def _partial_trace_env(y: np.ndarray, k: int, n: int) -> np.ndarray:
-    return np.einsum("iaja->ij", y.reshape(k, n, k, n))
+def _conjugated(ch: ChannelInstance, V: np.ndarray, state: QuantumState) -> np.ndarray:
+    """V X V* as a (k, n, k, n) array, for an input of dimension d."""
+    if state.dim != ch.d:
+        raise DomainError(f"input dimension {state.dim} does not match d = {ch.d}")
+    return (V @ state.matrix @ V.conj().T).reshape(ch.k, ch.n, ch.k, ch.n)
 
 
 def apply_channel(ch: ChannelInstance, state: QuantumState) -> QuantumState:
     """Trace the environment out of V X V*."""
-    if state.dim != ch.d:
-        raise DomainError(f"input dimension {state.dim} does not match d = {ch.d}")
-    y = ch.V @ state.matrix @ ch.V.conj().T
-    return QuantumState(ch.k, _partial_trace_env(y, ch.k, ch.n))
+    return QuantumState(ch.k, np.einsum("iaja->ij", _conjugated(ch, ch.V, state)))
 
 
 def apply_conjugate_channel(ch: ChannelInstance, state: QuantumState) -> QuantumState:
     """Same channel with the entrywise-conjugated isometry."""
-    if state.dim != ch.d:
-        raise DomainError(f"input dimension {state.dim} does not match d = {ch.d}")
-    y = ch.V.conj() @ state.matrix @ ch.V.T
-    return QuantumState(ch.k, _partial_trace_env(y, ch.k, ch.n))
+    return QuantumState(ch.k, np.einsum("iaja->ij", _conjugated(ch, ch.V.conj(), state)))
 
 
 def apply_complementary(ch: ChannelInstance, state: QuantumState) -> QuantumState:
     """Trace out the k factor instead; for rank-one inputs the nonzero output
     spectrum matches the direct channel's."""
-    if state.dim != ch.d:
-        raise DomainError(f"input dimension {state.dim} does not match d = {ch.d}")
-    y = ch.V @ state.matrix @ ch.V.conj().T
-    return QuantumState(ch.n, np.einsum("iaib->ab", y.reshape(ch.k, ch.n, ch.k, ch.n)))
+    return QuantumState(ch.n, np.einsum("iaib->ab", _conjugated(ch, ch.V, state)))
 
 
 def bell_output(ch: ChannelInstance) -> QuantumState:
@@ -239,7 +233,7 @@ class ConcentrationStat:
     regime_ok: bool
 
     def to_json(self) -> dict:
-        return {"max_l2": self.max_l2, "bound": self.bound, "regime_ok": self.regime_ok}
+        return asdict(self)
 
 
 def concentration_stat(ch: ChannelInstance, count: int, seed: int) -> ConcentrationStat:

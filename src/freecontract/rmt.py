@@ -28,27 +28,21 @@ from .measures import HermitianSpec
 from .rng import GENERATOR_NAME, STREAM_HAAR, complex_normal, stream
 
 
-def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag)).conj()
-
-
 def haar_unitary(N: int, seed: int) -> np.ndarray:
     """Haar-distributed N x N unitary, deterministic in (N, seed)."""
     if N < 1:
         raise DomainError("need N >= 1")
-    z = complex_normal(stream(seed, STREAM_HAAR), (N, N))
-    return _phase_fixed_q(z)
+    return haar_columns(N, N, seed)
 
 
 def haar_columns(N: int, d: int, seed: int) -> np.ndarray:
     """First d columns of a Haar unitary, drawn as an N x d isometry."""
     if not 1 <= d <= N:
         raise DomainError("need 1 <= d <= N")
-    z = complex_normal(stream(seed, STREAM_HAAR), (N, d))
-    return _phase_fixed_q(z)
+    q, r = np.linalg.qr(complex_normal(stream(seed, STREAM_HAAR), (N, d)))
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag)).conj()
 
 
 def floor_fraction(t: float, N: int) -> int:

@@ -16,7 +16,8 @@ from freecontract.freepower import (
     subordination,
     support_components,
 )
-from freecontract.measures import make_measure, moments, voiculescu_transform
+from freecontract.measures import (HermitianSpec, make_measure, moments, nevanlinna_rho,
+                                   voiculescu_transform)
 from freecontract.tnorm import support_bounds
 
 SQRT3 = math.sqrt(3.0)
@@ -218,12 +219,72 @@ class TestArcsineCdf:
 
     def test_masses_are_the_table_ends(self, bernoulli):
         result = free_power(make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]), 1.05)
-        ends = tuple(cum[-1] for _, cum in result._kernel.cdf_tables)
+        ends = tuple(result._kernel.cdf_table[1][:, -1])
         assert len(ends) == 2
         assert result.ac_masses == ends
         with_atoms = free_power(bernoulli, 1.5)
         beyond = max(with_atoms.x3, with_atoms.atoms[-1][0]) + 1.0
         assert with_atoms.cdf(beyond) == with_atoms.ac_mass + with_atoms.atomic_mass
+
+
+class TestManyComponents:
+    # every reader indexes the same edge arrays: a point inside a component
+    # subordinates on that component's curve, a point in a gap on none
+
+    @pytest.fixture(scope="class", params=["three atoms", "m = 300"])
+    def power(self, request):
+        if request.param == "three atoms":
+            mu, T, count = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]), 1.05, 2
+        else:
+            rng = np.random.default_rng(300)
+            vals = np.sort(rng.uniform(-1.0, 2.0, 300))
+            spec = HermitianSpec.from_values(np.repeat(vals, rng.integers(1, 5, vals.size)))
+            mu, T, count = spec.measure(), 1.01, 50
+        result = free_power(mu, T)
+        assert len(result.support_components) == len(result.bt_components) == count
+        return mu, result
+
+    def test_subordination_round_trips_in_every_component(self, power):
+        _, power = power
+        kernel = power._kernel
+        for (a, b), (u_lo, u_hi) in zip(power.support_components, power.bt_components):
+            xs = np.linspace(a, b, 9)[1:-1]
+            omega = power.subordination(xs)
+            assert np.all(omega.imag > 0.0)
+            assert np.all((u_lo < omega.real) & (omega.real < u_hi))
+            back = kernel.h(omega - kernel.tau).real + kernel.shift
+            assert np.max(np.abs(back - xs)) <= 1e-9
+            assert np.all(power.density(xs) > 0.0)
+
+    def test_each_mass_is_the_residue_sum_under_its_curve(self, power):
+        # the a.c. mass of a component is the sum of the residues of
+        # G_mu(w) H'(w) between its curve and the real axis: T*w - (T - 1) at
+        # each atom (x, w) of mu there and T - 1 at each rho atom
+        mu, power = power
+        T = power.T
+        bt = np.array(power.bt_components)
+        lo, hi = bt[:, :1], bt[:, 1:]
+        beta = nevanlinna_rho(mu).positions
+        atoms = (mu.positions > lo) & (mu.positions < hi)
+        expect = ((T - 1.0) * ((beta > lo) & (beta < hi)).sum(axis=1)
+                  + (atoms * (T * mu.weights - (T - 1.0))).sum(axis=1))
+        np.testing.assert_allclose(power.ac_masses, expect, rtol=0.0, atol=1e-12)
+
+    def test_gaps_have_no_density_no_subordination_and_a_flat_cdf(self, power):
+        _, power = power
+        comps = power.support_components
+        edges = [comps[0][0] - 1.0] + [e for comp in comps for e in comp] + [comps[-1][1] + 1.0]
+        atoms = np.array([p for p, _ in power.atoms] or [np.inf])
+        atom_mass = np.array([m for _, m in power.atoms] or [0.0])
+        for j in range(len(comps) + 1):
+            xs = np.linspace(edges[2 * j], edges[2 * j + 1], 6)[1:-1]
+            assert np.all(power.density(xs) == 0.0)
+            for x in xs:
+                with pytest.raises(DomainError):
+                    power.subordination(x)
+            below = sum(power.ac_masses[:j]) + np.array(
+                [atom_mass[atoms <= x].sum() for x in xs])
+            np.testing.assert_allclose(power.cdf(xs), below, rtol=0.0, atol=1e-12)
 
 
 class TestAtoms:
@@ -477,10 +538,10 @@ class TestLazyMasses:
                                             monkeypatch, tmp_path):
         from freecontract import cli, freepower, tnorm
 
-        def refuse(self, curve):
+        def refuse(self):
             raise AssertionError("a component mass was integrated")
 
-        monkeypatch.setattr(freepower._PowerKernel, "_cdf_table", refuse)
+        monkeypatch.setattr(freepower._PowerKernel.cdf_table, "func", refuse)
         assert tnorm.tnorm_exact(bernoulli_spec, 0.25) == pytest.approx(SQRT3 / 2, abs=1e-9)
         tnorm.tnorm_report(bernoulli_spec, 0.5)
         assert len(support_components(bernoulli, 4.0)) == 1
@@ -497,13 +558,14 @@ class TestLazyMasses:
         from freecontract import freepower
 
         calls = []
-        integrate = freepower._PowerKernel._cdf_table
+        integrate = freepower._PowerKernel.cdf_table.func
 
-        def counting(self, curve):
-            calls.append((curve.u_lo + self.tau, curve.u_hi + self.tau))
-            return integrate(self, curve)
+        def counting(self):
+            u_lo, u_hi, _, _ = self.curves
+            calls.extend(zip(u_lo + self.tau, u_hi + self.tau))
+            return integrate(self)
 
-        monkeypatch.setattr(freepower._PowerKernel, "_cdf_table", counting)
+        monkeypatch.setattr(freepower._PowerKernel.cdf_table, "func", counting)
         mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
         result = free_power(mu, 1.05)
         assert calls == []

@@ -187,7 +187,7 @@ class TestVoiculescuTransform:
 
     def test_bernoulli_roundtrip(self, bernoulli):
         z = 10j
-        phi = voiculescu_transform(bernoulli, z, tol=1e-12)
+        phi = voiculescu_transform(bernoulli, z)
         _, f = cauchy_pair(bernoulli, z + phi)
         assert abs(f - z) < 1e-10
 
