@@ -36,8 +36,22 @@ substitution u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the
 square-root edge behavior of the density becomes smooth: the cumulative
 sums form one (k, nodes + 2) CDF table whose last column is the
 components' masses.  Components whose images touch merge into one support
-interval, with their masses summed.  The support geometry is all a norm
-needs, so the table is built only when first read.
+interval, with their masses summed.  The table is built only when first
+read.
+
+A norm reads only the two outer ends of the support, and `support_hull`
+finds them from mu alone, with no rho and no component geometry.  With
+x_j the outermost atom of mu on one side and w_j its weight, that end is
+the atom T*x_j when w_j > 1 - 1/T; otherwise it is h(u) at the root
+u beyond x_j of psi(u) = F_mu'(u) - 1 = 1/(T-1).  In centred coordinates,
+with the pole-cleared ratios b_i = (u - x_j)/(u - x_i) in [0, 1] (b_j = 1)
+and B = sum_i w_i b_i,
+
+    psi(u) = sum_i w_i (b_i - B)^2 / B^2,
+    h(u)   = u + (T-1) * sum_i w_i (u - x_i) (b_i - B)^2 / B^2,
+
+every term nonnegative and finite at u = x_j; both ends are solved in one
+bracketed Newton pass of O(m) per probe.
 """
 
 from __future__ import annotations
@@ -363,14 +377,6 @@ class FreePowerResult:
     def atomic_mass(self) -> float:
         return float(sum(m for _, m in self.atoms))
 
-    def extent(self) -> float:
-        """max{|v| : v in supp} over support edges and atom positions."""
-        vals = [abs(e) for comp in self.support_components for e in comp]
-        vals += [abs(p) for p, _ in self.atoms]
-        if not vals:
-            raise ConvergenceError("empty support")
-        return max(vals)
-
     def density(self, x) -> np.ndarray | float:
         """Absolutely continuous density; 0 outside the support interior."""
         scalar = np.isscalar(x)
@@ -534,6 +540,13 @@ def power_voiculescu(mu: AtomicMeasure, T: float, z: complex) -> complex:
                          "z is outside the supported regime") - z
 
 
+def _check_power(mu: AtomicMeasure, T: float) -> None:
+    if not mu.is_probability():
+        raise DomainError("powers are defined for probability measures")
+    if T < 1.0:
+        raise DomainError("powers are defined for T >= 1 only")
+
+
 def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
     """Support decomposition of the T-th free convolution power.
 
@@ -543,10 +556,7 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
     is first read, which raises ConvergenceError unless the atomic plus a.c.
     mass reproduces 1 within 1e-6.
     """
-    if not mu.is_probability():
-        raise DomainError("powers are defined for probability measures")
-    if T < 1.0:
-        raise DomainError("powers are defined for T >= 1 only")
+    _check_power(mu, T)
     kernel = None if T == 1.0 or mu.n_atoms == 1 else _PowerKernel(mu, T)
     comps = bt = ()
     if kernel is not None:
@@ -566,3 +576,66 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
         x4=roots[-1] if roots else None,
         _kernel=kernel,
     )
+
+
+def support_hull(mu: AtomicMeasure, T: float) -> tuple[float, float]:
+    """(lo, hi): the smallest interval holding the support of the T-th
+    power, atoms included, from mu alone (formulas in the module docstring).
+
+    An end whose outer atom has w_j > 1 - 1/T (the `atoms_of_power` test)
+    is the atom T*x_j: h(x_j) = T*x_j and h increases outside B, so the
+    a.c. support ends inside it.  Otherwise each deviation d_i = b_i - B is
+    formed from the smaller pair, b_i - B or A - a_i with a_i = 1 - b_i =
+    (x_j - x_i)/(u - x_i) and A = 1 - B, so that no digits cancel when
+    every b_i is near 1 (u far out) or near 0 (u next to x_j).
+    psi = (1 - w_j)/w_j at x_j and decreases to 0, staying below
+    var/(u - x_j)^2 (rho's atoms lie below x_j and weigh var in all), so
+    the root lies within sqrt(var*(T-1)) of x_j.  Newton runs on
+    B/sqrt(V) - sqrt(T-1) with V = B^2*psi, which increases through the
+    root and is linear far from the atoms; the left end is the right end
+    of the mirrored measure, and both are solved in one pass.
+    """
+    _check_power(mu, T)
+    T = float(T)
+    pos, w = mu.positions, mu.weights
+    lo, hi = T * float(pos[0]), T * float(pos[-1])
+    thr = 1.0 - 1.0 / T
+    light = np.array([w[-1] <= thr, w[0] <= thr]) & (mu.n_atoms > 1)
+    if not light.any():
+        return lo, hi
+    tau, var = moments(mu)
+    # row 0 is mu and row 1 its mirror image, each with its outer atom x_j
+    # last; the sums run over the other atoms and add x_j's terms apart
+    # (a_j = 0, b_j = 1), which keeps them finite at u = x_j
+    x = np.stack([pos - tau, (tau - pos)[::-1]])[light]
+    wt = np.stack([w, w[::-1]])[light]
+    xj, wj, x, wt = x[:, -1], wt[:, -1], x[:, :-1], wt[:, :-1]
+    gap = xj[:, None] - x
+
+    def ratios(u: np.ndarray, i: np.ndarray):
+        """The weights, 1/(u - x_i), a_i and d_i of the other atoms, A and B."""
+        wi, r = wt[i], 1.0 / (u[:, None] - x[i])
+        a, b = gap[i] * r, (u - xj[i])[:, None] * r
+        big_a, big_b = (wi * a).sum(axis=1), wj[i] + (wi * b).sum(axis=1)
+        # d_i = b_i - B = A - a_i, from the smaller pair
+        d = np.where(b + big_b[:, None] < 1.0, b - big_b[:, None], big_a[:, None] - a)
+        return wi, r, a, d, big_a, big_b
+
+    def probe(u: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        wi, r, a, d, big_a, big_b = ratios(u, i)
+        wd, db = wi * d, a * r     # db: d b_i/du
+        v = (wd * d).sum(axis=1) + wj[i] * big_a * big_a
+        fp = ((wi * db).sum(axis=1) * v - big_b * (wd * db).sum(axis=1)) / (v * np.sqrt(v))
+        return big_b / np.sqrt(v) - math.sqrt(T - 1.0), fp
+
+    reach = math.sqrt(var * (T - 1.0))
+    # twice the bound, so that rounding in var cannot put the root outside
+    u = bisect(probe, xj, xj + 2.0 * reach, mu.n_atoms, np.full(xj.size, reach))
+    _, _, _, d, big_a, big_b = ratios(u, np.arange(u.size))
+    spread = (wt * (u[:, None] - x) * d * d).sum(axis=1) + wj * (u - xj) * big_a * big_a
+    ends = iter((u + (T - 1.0) * spread / (big_b * big_b)).tolist())
+    if light[0]:
+        hi = T * tau + next(ends)
+    if light[1]:
+        lo = T * tau - next(ends)
+    return lo, hi

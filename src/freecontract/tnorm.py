@@ -3,9 +3,13 @@
 The norm of a Hermitian element a (described by a :class:`HermitianSpec`)
 at compression parameter t in (0, 1] equals t times the largest absolute
 point of the support of the (1/t)-th free convolution power of its
-spectral distribution; the exact value comes from
-:mod:`freecontract.freepower`.  Alongside it the module evaluates four
-closed-form estimates:
+spectral distribution.  Only the two outer ends of that support enter, and
+`freepower.support_hull` finds them from the spectrum alone: with x_j the
+outermost eigenvalue on one side and w_j its weight, the end is the atom
+x_j/t when w_j > 1 - t, and otherwise h(u) at the root u beyond x_j of
+F'(u) - 1 = t/(1 - t), F = 1/G the reciprocal Cauchy transform.  The norm
+therefore computes no remainder measure rho and no component geometry.
+Alongside it the module evaluates four closed-form estimates:
 
 * the main upper bound max |t*L(+/-) +/- 2*sigma*sqrt(t(1-t)) + (1-t)*mean|,
   with the dominant-eigenvalue term added when some multiplicity exceeds
@@ -30,7 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .freepower import free_power
+# free_power stays bound here, unused: perfbench/tracing.py wraps
+# `tnorm.free_power` by attribute name
+from .freepower import free_power, support_hull  # noqa: F401
 from .measures import HermitianSpec
 from .rng import STREAM_PROBES, stream
 
@@ -55,10 +61,11 @@ def support_bounds(spec: HermitianSpec, T: float) -> tuple[float, float]:
 
 
 def tnorm_exact(spec: HermitianSpec, t: float) -> float:
-    """Exact norm: t times the support extent of the (1/t)-th power."""
+    """Exact norm: t times the largest |v| over the support of the (1/t)-th
+    power, read from its two outer ends by `support_hull`."""
     t = _check_t(t)
-    result = free_power(spec.measure(), 1.0 / t)
-    return t * result.extent()
+    lo, hi = support_hull(spec.measure(), 1.0 / t)
+    return t * max(abs(lo), abs(hi))
 
 
 def _upper_terms(spec: HermitianSpec, t: float) -> tuple[float, Optional[float]]:

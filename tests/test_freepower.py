@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,10 +16,11 @@ from freecontract.freepower import (
     power_voiculescu,
     subordination,
     support_components,
+    support_hull,
 )
 from freecontract.measures import (HermitianSpec, make_measure, moments, nevanlinna_rho,
                                    voiculescu_transform)
-from freecontract.tnorm import support_bounds
+from freecontract.tnorm import support_bounds, tnorm_exact
 
 SQRT3 = math.sqrt(3.0)
 T_GRID = (1.1, 1.5, 2.0, 4.0, 10.0)
@@ -512,6 +514,114 @@ class TestHardGeometries:
         (lo, hi), = result.support_components
         assert hi == pytest.approx(2 * math.sqrt(3) * 1e4, abs=1e-4)
         assert lo == pytest.approx(-hi, abs=1e-4)
+
+
+def _geometry_hull(result):
+    ends = [e for comp in result.support_components for e in comp]
+    ends += [p for p, _ in result.atoms]
+    return min(ends), max(ends)
+
+
+class TestSupportHull:
+    # the two outer ends from mu alone, against the full geometry; errors
+    # are relative to the hull's extent max(|lo|, |hi|), the norm's scale
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 17, 40, 100, 300])
+    def test_matches_the_full_geometry(self, m):
+        rng = seeded(77, m)
+        pos = np.sort(rng.uniform(-1.0, 3.0, m))
+        mu = make_measure(zip(pos, rng.dirichlet(np.ones(m))))
+        for t in (0.1, 0.25, 1 / 3, 0.37, 0.5, 0.9):
+            got = np.array(support_hull(mu, 1.0 / t))
+            want = np.array(_geometry_hull(free_power(mu, 1.0 / t)))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want))), (t, got, want)
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 0.1, 0.5])
+    def test_bernoulli_closed_form(self, bernoulli, t):
+        # ends +-2*sqrt(T - 1) to a few ulps; at t = 1e-6 the ratios b_i all
+        # sit within 1e-3 of 1, and forming b_i - B as a difference of them
+        # would leave 1.4e-14
+        lo, hi = support_hull(bernoulli, 1.0 / t)
+        want = 2.0 * math.sqrt(t * (1.0 - t))
+        assert t * hi == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert t * lo == pytest.approx(-want, rel=1e-15, abs=0.0)
+
+    def test_outer_weight_at_the_threshold(self):
+        # norm-sweep seed 902, op 62: the heavier eigenvalue has weight
+        # 2/3 = 1 - t, so the edge root sits on the atom itself
+        spec = HermitianSpec(3, np.array([0.6494575275007312, 2.327608630488752]),
+                             np.array([1, 2]))
+        exact = tnorm_exact(spec, 1 / 3)
+        assert math.isfinite(exact)
+        assert exact == pytest.approx(2.3276086304887516, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("atoms, T", [
+        ([(0.9646657900288511, 0.5), (2.076232974746185, 0.5)], 2.0),
+        ([(1.0004936446162191, 0.75), (2.817842615197437, 0.25)], 4.0),
+    ])
+    def test_root_on_the_atom(self, atoms, T):
+        # an outer weight of exactly 1 - 1/T: the edge root converges onto
+        # x_j itself, where every term must stay finite, and the end is T*x_j
+        mu = make_measure(atoms)
+        lo, hi = support_hull(mu, T)
+        assert lo == pytest.approx(T * atoms[0][0], rel=1e-15, abs=0.0)
+        geometry = _geometry_hull(free_power(mu, T))
+        assert hi == pytest.approx(geometry[1], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("atoms, T, want", [
+        ([(-1.0, 0.6), (0.5, 0.1), (2.0, 0.3)], 2.0, (-2.0, None)),
+        ([(-1.0, 0.3), (0.5, 0.1), (2.0, 0.6)], 2.0, (None, 4.0)),
+        ([(-1.0, 0.45), (0.5, 0.1), (2.0, 0.45)], 1.5, (-1.5, 3.0)),
+    ])
+    def test_heavy_outer_atoms(self, atoms, T, want):
+        mu = make_measure(atoms)
+        got = support_hull(mu, T)
+        for g, w, ref in zip(got, want, _geometry_hull(free_power(mu, T))):
+            if w is not None:
+                assert g == w
+            assert g == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_t_one_is_all_atoms(self):
+        mu = make_measure([(-3.0, 0.2), (0.5, 0.5), (2.0, 0.3)])
+        assert support_hull(mu, 1.0) == (-3.0, 2.0)
+
+    def test_t_just_below_one(self):
+        T = 1.0 / (1.0 - 1e-6)
+        # every weight above 1 - 1/T = 1e-6: both ends are moved atoms
+        mu = make_measure([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
+        assert support_hull(mu, T) == (-T, T)
+        # an outer atom lighter than 1e-6 ends in an a.c. edge
+        mu = make_measure([(0.0, 0.5), (1.0, 0.5 - 5e-7), (2.0, 5e-7)])
+        lo, hi = support_hull(mu, T)
+        assert lo == 0.0
+        geometry = _geometry_hull(free_power(mu, T))
+        assert hi == pytest.approx(geometry[1], rel=1e-13, abs=0.0)
+
+    def test_point_mass_and_invalid_input(self):
+        assert support_hull(make_measure([(0.4, 1.0)]), 3.0) == pytest.approx((1.2, 1.2))
+        with pytest.raises(DomainError):
+            support_hull(make_measure([(0.0, 0.5), (1.0, 0.5)]), 0.5)
+        with pytest.raises(DomainError):
+            support_hull(make_measure([(0.0, 0.5), (1.0, 0.25)]), 2.0)
+
+    def test_norm_computes_no_rho_and_no_geometry(self, bernoulli_spec, monkeypatch,
+                                                   tmp_path):
+        from freecontract import cli, freepower, measures, tnorm
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the norm built rho or a power kernel")
+
+        monkeypatch.setattr(measures, "nevanlinna_rho", refuse)
+        monkeypatch.setattr(freepower, "nevanlinna_rho", refuse)
+        monkeypatch.setattr(freepower._PowerKernel, "__init__", refuse)
+        exact = tnorm.tnorm_exact(bernoulli_spec, 0.25)
+        assert exact == pytest.approx(SQRT3 / 2, rel=1e-13, abs=0.0)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"k": 3, "eigs": [{"xi": 0.5, "d": 2}, {"xi": 2.0, "d": 1}]}')
+        out = tmp_path / "report.json"
+        assert cli.main(["tnorm", "--spec", str(spec_path), "--t", "0.25",
+                         "--all-bounds", "--out", str(out)]) == 0
+        assert 0.0 < json.loads(out.read_text())["exact"] <= 2.0
 
 
 class TestTransformsSkipComponentLocation:

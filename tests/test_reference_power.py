@@ -7,7 +7,7 @@ import pytest
 
 from conftest import seeded
 from freecontract.errors import ConvergenceError, DomainError
-from freecontract.freepower import free_power
+from freecontract.freepower import free_power, support_hull
 from freecontract.measures import make_measure, nevanlinna_rho
 from reference_power import ReferencePower
 
@@ -90,3 +90,25 @@ def test_power_matches_the_reference(name):
             slack.append(abs(float(slope)) * 4.0 * (np.spacing(abs(x)) + np.spacing(extent)))
     err = np.abs(result.density(np.array(xs)) - want)
     assert np.all(err <= DENSITY_TOL * max(want) + np.array(slack)), (err, slack)
+
+
+# a light outer atom whose edge root sits 4e-8 from it: every b_i is near 0
+HULL_CASES = dict(CASES, **{
+    "outer weight 1e-12": ([(0.0, 0.5), (1.0, 0.5 - 1e-12), (2.0, 1e-12)], 1.001),
+})
+
+
+@pytest.mark.parametrize("name", list(HULL_CASES))
+def test_hull_matches_the_reference(name):
+    # the outer support edges and surviving atoms, within 1e-13 of the
+    # hull's extent
+    atoms, T = HULL_CASES[name]
+    mu = make_measure(atoms)
+    lo, hi = support_hull(mu, T)
+    ref = ReferencePower(mu.atoms, T)
+    ref_edges = ref.support_edges()
+    moved = [ref.T * x for x, w in zip(ref.x, ref.w) if w > 1 - 1 / ref.T]
+    want = (min([ref_edges[0][0]] + moved), max([ref_edges[-1][1]] + moved))
+    scale = max(abs(float(want[0])), abs(float(want[1])))
+    assert abs(lo - float(want[0])) <= 1e-13 * scale, (lo, want)
+    assert abs(hi - float(want[1])) <= 1e-13 * scale, (hi, want)
