@@ -19,12 +19,14 @@ x = H(u + i f(u)) is -Im G(u + i f(u)) / pi with G the Cauchy transform of
 mu.  Point masses survive at T*x exactly when mu({x}) > 1 - 1/T, with mass
 T*mu({x}) - (T-1).
 
-All real roots of the geometry and of subordination come from guaranteed
-sign-change brackets, solved together by one vectorized safeguarded Newton
-iteration on functions with their bracketing poles cleared; the height
-y = f^2 solves its secular equation by monotone Newton steps.  Everything
-is computed in coordinates centred at the mean of mu and shifted back at
-the public boundary, so an offset spectrum keeps its digits.
+The edges of B come from monotone Newton runs out of the rho atoms, with
+no brackets (see `_PowerKernel.curves`), and the height y = f^2 from
+monotone Newton steps on its secular equation; the subordination points
+come from guaranteed sign-change brackets, solved together by one
+vectorized safeguarded Newton iteration on functions with their bracketing
+poles cleared.  Everything is computed in coordinates centred at the mean
+of mu and shifted back at the public boundary, so an offset spectrum keeps
+its digits.
 
 The support geometry is four arrays, the edges u_lo, u_hi of the k maximal
 intervals of B in order and the edges x_lo, x_hi of their images, and every
@@ -64,16 +66,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .measures import NEWTON_TOL, AtomicMeasure, cauchy_pair, moments, nevanlinna_rho
-from .rootfind import bisect, blockwise, damped_newton
+from .measures import (NEWTON_TOL, AtomicMeasure, _f_pair, cauchy_pair, moments,
+                       nevanlinna_rho)
+from .rootfind import NEWTON_ULPS, bisect, blockwise, damped_newton
 
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
 _COMPONENT_MERGE_TOL = 1e-10
 _CDF_GRID = 8192          # midpoint nodes per component table
-# Newton steps per boundary height.  While a nearby light rho atom dominates
-# S, each step about doubles y, for up to ~53 steps when the other atoms
-# alone sit at the threshold s to within rounding; then it is quadratic.
-_HEIGHT_STEPS = 100
+# Newton steps of the two monotone rises, a boundary height and a support
+# edge.  While a nearby light rho atom dominates S, each height step about
+# doubles y, for up to ~53 steps when the other atoms alone sit at the
+# threshold s to within rounding; an edge run next to a near-tangent maximum
+# of g halves its distance to that maximum per step.  Both then converge
+# quadratically.
+_RISE_STEPS = 100
 
 
 class _PowerKernel:
@@ -106,10 +112,6 @@ class _PowerKernel:
         self.s = 1.0 / (self.T - 1.0)
 
     # -- pointwise building blocks -------------------------------------
-
-    def psi(self, x: np.ndarray) -> np.ndarray:
-        """sum_j c_j/(b_j - x)^2 for each x."""
-        return (self.c / (self.beta - x[:, None]) ** 2).sum(axis=1)
 
     def h(self, z: np.ndarray) -> np.ndarray:
         """Centred map h(w) = w + (T-1)*sum_j c_j/(w - b_j)."""
@@ -150,7 +152,7 @@ class _PowerKernel:
         start max(0, max_j(c_j/s - d_j^2)) is below the root (each term of S
         is at most s there) and finite on a rho atom.  A point stops once a
         step no longer raises its y; outside B that is the first step, from
-        y = 0.  ConvergenceError after _HEIGHT_STEPS steps.
+        y = 0.  ConvergenceError after _RISE_STEPS steps.
         """
         u = np.asarray(u, dtype=float)
         # (atoms x points): many points over few atoms sum fastest by rows
@@ -161,7 +163,7 @@ class _PowerKernel:
         idx, yy = np.arange(u.size), y
         # with no rho atoms (one-atom mu) the step is 0/0 = NaN, which stops
         with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_HEIGHT_STEPS):
+            for _ in range(_RISE_STEPS):
                 q = np.reciprocal(d2 + yy)
                 r = c * q
                 big_s = r.sum(axis=0)
@@ -175,7 +177,7 @@ class _PowerKernel:
                 if not idx.size:
                     return np.sqrt(y)
         raise ConvergenceError(f"boundary height: Newton still rising after "
-                               f"{_HEIGHT_STEPS} steps at {idx.size} points")
+                               f"{_RISE_STEPS} steps at {idx.size} points")
 
     def curve_point(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -186,70 +188,64 @@ class _PowerKernel:
     @cached_property
     def curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(u_lo, u_hi, x_lo, x_hi): the k maximal intervals of B, in order,
-        and their image support intervals, centred."""
+        and their image support intervals, centred.
+
+        B = {g < sqrt(T-1)} with g = psi^(-1/2), which is 0 at each rho atom
+        and concave between and beyond them (Cauchy-Schwarz: a_j = 1/(u - b_j),
+        (sum c a^3)^2 <= sum c a^2 * sum c a^4).  An edge is therefore the
+        first point, going out from a pole P, where g reaches sqrt(T-1), and
+        Newton in the distance d from P rises to it monotonically without
+        passing it: every iterate is a lower bound on the edge's distance.
+        The first step is d = sqrt((T-1)*c_P); later ones probe the
+        pole-cleared g = d/sqrt(c_P + p*d^2), p the psi of the other atoms.
+        Runs go out from both outer atoms and into each gap from both of its
+        poles.  A gap splits exactly when both of its runs converge with
+        g' > 0; it does not once a run sees g' <= 0 (g < sqrt(T-1) beyond,
+        by concavity) or the two lower bounds fill it.  A run converges when
+        its step is at most NEWTON_ULPS ulps of |b_P| + d.
+        """
         if self.var <= 0.0:
             raise DomainError("subordination machinery needs a measure with positive variance")
-        beta, c, s, m = self.beta, self.c, self.s, self.beta.size
-        # B lies within reach of the rho atoms: f <= sqrt(var*(T-1))
-        reach = math.sqrt(self.var * (self.T - 1.0)) + 1.0
-        lo, hi = beta[:-1], beta[1:]
+        beta, c, m = self.beta, self.c, self.beta.size
+        level = math.sqrt(self.T - 1.0)
+        # run i goes out from pole i % m, rightward for i < m: gap j between
+        # beta[j] and beta[j + 1] is entered by runs j and m + j + 1
+        pole, sign = np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m)
+        width = np.diff(beta)
 
-        # psi is strictly convex between consecutive poles: its minimum
-        # decides whether the component splits in that gap.  On the gap
-        # (L, R), psi'/2 = P - N with P = c_R/(R - x)^3 + (atoms right of R)
-        # and N = c_L/(x - L)^3 + (atoms left of L), both positive; Newton
-        # runs on N^(-1/3) - P^(-1/3), which increases through the minimum,
-        # is finite at both poles and is linear when no other atom counts.
-        def critical(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            left, right = x - beta[i], beta[i + 1] - x
-            inv = 1.0 / (beta - x[:, None])
-            terms = inv * inv
-            terms *= inv
-            terms *= c
-            rows = np.arange(x.size)
-            terms[rows, i] = terms[rows, i + 1] = 0.0
-            above = np.maximum(terms, 0.0)
-            below = above - terms
-            u = c[i] + below.sum(axis=1) * left**3
-            v = c[i + 1] + above.sum(axis=1) * right**3
-            f = left / np.cbrt(u) - right / np.cbrt(v)
-            fp = ((c[i] - (below * inv).sum(axis=1) * left**4) / (u * np.cbrt(u))
-                  + (c[i + 1] + (above * inv).sum(axis=1) * right**4) / (v * np.cbrt(v)))
-            return f, fp
-
-        # start at the minimum of the two-pole model c_L/(x-L)^2 + c_R/(R-x)^2
-        ratio = np.cbrt(c[:-1] / c[1:])
-        xstar = bisect(critical, lo, hi, m, lo + (hi - lo) * (ratio / (1.0 + ratio)))
-        split = blockwise(self.psi, m, xstar) < s
-        # psi rises through s at the k left edges (left of all atoms and at
-        # the right end of every split gap) and falls through s at the k
-        # right edges.  Each bracket ends at one pole P, at distance d from
-        # x, where psi = c_P/d^2 + p; Newton runs on
-        # +-(s^(-1/2) - psi^(-1/2)) = +-(s^(-1/2) - d/sqrt(c_P + p*d^2)),
-        # which increases through the edge, is finite at P and is linear
-        # when no other atom counts.
-        k = 1 + np.count_nonzero(split)
-        gaps = np.flatnonzero(split)
-        pole = np.r_[0, gaps + 1, gaps, m - 1]
-        sign = np.where(np.arange(2 * k) < k, 1.0, -1.0)
-        s_root = 1.0 / math.sqrt(s)
-
-        def edge(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def probe(d: np.ndarray, i: np.ndarray) -> np.ndarray:
             p, sg = pole[i], sign[i]
-            dist = sg * (beta[p] - x)
-            inv = 1.0 / (beta - x[:, None])
+            inv = 1.0 / (beta - (beta[p] + sg * d)[:, None])
             terms = c * inv * inv
-            terms[np.arange(x.size), p] = 0.0
-            q = c[p] + terms.sum(axis=1) * dist * dist
-            return (sg * (s_root - dist / np.sqrt(q)),
-                    (c[p] + sg * (terms * inv).sum(axis=1) * dist**3) / (q * np.sqrt(q)))
+            terms[np.arange(d.size), p] = 0.0
+            q = c[p] + terms.sum(axis=1) * d * d
+            slope = (c[p] - sg * (terms * inv).sum(axis=1) * d**3) / (q * np.sqrt(q))
+            return np.column_stack([d / np.sqrt(q), slope])
 
-        # start where the pole alone gives psi = s: psi >= c_P/d^2 puts it
-        # between P and the edge
-        edges = bisect(edge,
-                       np.r_[beta[0] - reach, xstar[split], lo[split], beta[-1]],
-                       np.r_[beta[0], hi[split], xstar[split], beta[-1] + reach], m,
-                       beta[pole] - sign * np.sqrt(c[pole] / s))
+        d = level * np.sqrt(c[pole])
+        running = np.ones(2 * m, dtype=bool)
+        split = np.ones(m - 1, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_RISE_STEPS + 1):    # the last pass only classifies
+                split &= d[:m - 1] + d[m + 1:] < width
+                running &= np.r_[split, True, True, split]
+                idx = np.flatnonzero(running)
+                if not idx.size:
+                    break
+                g, gp = blockwise(probe, m, d[idx], idx).T
+                step = (level - g) / gp
+                # g' <= 0 below sqrt(T-1): by concavity g stays below it
+                # beyond, and an infinite distance closes the gap
+                step[~(gp > 0.0)] = np.inf
+                d[idx] += step
+                tol = NEWTON_ULPS * np.spacing(np.abs(beta[pole[idx]]) + d[idx])
+                running[idx[step <= tol]] = False
+            else:
+                raise ConvergenceError(f"support edges: Newton still rising after "
+                                       f"{_RISE_STEPS} steps on {idx.size} runs")
+        gaps = np.flatnonzero(split)
+        runs, k = np.r_[m, gaps + m + 1, gaps, m - 1], gaps.size + 1
+        edges = beta[pole[runs]] + sign[runs] * d[runs]
         u_lo, u_hi = edges[:k], edges[k:]
         if np.any(np.searchsorted(beta, u_hi) <= np.searchsorted(beta, u_lo, "right")):
             raise ConvergenceError("a located component contains no rho atom")
@@ -526,15 +522,11 @@ def power_voiculescu(mu: AtomicMeasure, T: float, z: complex) -> complex:
     """
     kernel = _PowerKernel(mu, T)
     z = _open_upper(z)
-    xs, ws = mu.positions, mu.weights
 
     def f_pair(w: complex) -> tuple[complex, complex]:
         omega = kernel.invert_h(w, 1e-13 * max(1.0, abs(w)))
-        dz = omega - xs
-        g = complex(np.sum(ws / dz))
-        gp = complex(-np.sum(ws / dz**2))
-        _, hp = kernel.h_pair(omega)
-        return 1.0 / g, (-gp / (g * g)) / hp
+        f, fp = _f_pair(mu, omega)
+        return f, fp / kernel.h_pair(omega)[1]
 
     return damped_newton(f_pair, z, z, NEWTON_TOL, "inverting the power's F; "
                          "z is outside the supported regime") - z

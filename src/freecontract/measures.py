@@ -204,16 +204,16 @@ def voiculescu_transform(mu: AtomicMeasure, z: complex) -> complex:
     if not mu.is_probability():
         raise DomainError("the inverse transform is defined for probability measures")
     z = complex(z)
-    xs, ws = mu.positions, mu.weights
-
-    def f_pair(w: complex) -> tuple[complex, complex]:
-        inv = 1.0 / (w - xs)
-        g = complex(np.sum(ws * inv))
-        gp = complex(-np.sum(ws * inv * inv))
-        return 1.0 / g, -gp / (g * g)
-
-    return damped_newton(f_pair, z, z, NEWTON_TOL,
+    return damped_newton(lambda w: _f_pair(mu, w), z, z, NEWTON_TOL,
                          "inverting F; z is outside the supported regime") - z
+
+
+def _f_pair(mu: AtomicMeasure, w: complex) -> tuple[complex, complex]:
+    """(F, F') = (1/G, -G'/G^2) of mu at a point w off the atoms."""
+    inv = 1.0 / (w - mu.positions)
+    g = complex(np.sum(mu.weights * inv))
+    gp = complex(-np.sum(mu.weights * inv * inv))
+    return 1.0 / g, -gp / (g * g)
 
 
 # ---------------------------------------------------------------------------

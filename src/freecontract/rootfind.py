@@ -1,13 +1,17 @@
 """Root finding.
 
-Every real root used in this package has a guaranteed sign-change bracket,
-so all of them come from one vectorized safeguarded Newton iteration,
-:func:`bisect`, which solves a whole array of brackets at once: a Newton
-step is taken where it lands inside the shrinking bracket, a bisection
-step elsewhere (rtsafe, Numerical Recipes 3rd ed., section 9.4).
-Endpoints are never evaluated: brackets may start at a pole, so callers
-clear their poles, which keeps the probed function finite on the closed
-bracket and Newton's model good next to them.
+Real roots with a guaranteed sign-change bracket (the zeros of the Cauchy
+transform, the subordination points and the ends of the support hull) come
+from one vectorized safeguarded Newton iteration, :func:`bisect`, which
+solves a whole array of brackets at once: a Newton step is taken where it
+lands inside the shrinking bracket, a bisection step elsewhere (rtsafe,
+Numerical Recipes 3rd ed., section 9.4).  Endpoints are never evaluated:
+brackets may start at a pole, so callers clear their poles, which keeps the
+probed function finite on the closed bracket and Newton's model good next
+to them.  The support edges and the boundary heights need no bracket: each
+is the root of a concave increasing function, reached by monotone Newton
+steps from below (see :mod:`freecontract.freepower`), with probes in
+:func:`blockwise` rows and the same NEWTON_ULPS stop for the edges.
 
 Complex equations (inverting analytic maps on the upper half plane) go
 through one damped Newton iteration, :func:`damped_newton`.

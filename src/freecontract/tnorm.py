@@ -69,8 +69,9 @@ def tnorm_exact(spec: HermitianSpec, t: float) -> float:
 
 
 def _upper_terms(spec: HermitianSpec, t: float) -> tuple[float, Optional[float]]:
-    """Edge expression of the upper bound and the largest eigenvalue whose
-    multiplicity exceeds k*(1-t) (None when no multiplicity does)."""
+    """The main upper bound and, when some multiplicity exceeds k*(1-t),
+    its variant with the dominant eigenvalue taken in absolute value (None
+    when no multiplicity does)."""
     spread = 2.0 * spec.sigma * math.sqrt(t * (1.0 - t))
     edge = max(
         abs(t * lv + sg * spread + (1.0 - t) * spec.mean)
@@ -78,8 +79,10 @@ def _upper_terms(spec: HermitianSpec, t: float) -> tuple[float, Optional[float]]
         for sg in (-1.0, 1.0)
     )
     heavy = spec.multiplicities > spec.k * (1.0 - t)
-    xi_dom = float(np.max(spec.eigenvalues[heavy])) if np.any(heavy) else None
-    return edge, xi_dom
+    if not np.any(heavy):
+        return edge, None
+    xi_dom = float(np.max(spec.eigenvalues[heavy]))
+    return max(xi_dom, edge), max(abs(xi_dom), edge)
 
 
 def upper_bound(spec: HermitianSpec, t: float) -> tuple[float, bool]:
@@ -89,10 +92,8 @@ def upper_bound(spec: HermitianSpec, t: float) -> tuple[float, bool]:
     masses and the bound becomes the maximum of the edge expression and
     the largest eigenvalue whose multiplicity is that big.
     """
-    edge, xi_dom = _upper_terms(spec, _check_t(t))
-    if xi_dom is None:
-        return edge, False
-    return max(xi_dom, edge), True
+    upper, abs_variant = _upper_terms(spec, _check_t(t))
+    return upper, abs_variant is not None
 
 
 def lower_bound(spec: HermitianSpec, t: float, L: float) -> float:
@@ -170,11 +171,7 @@ def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
     """
     t = _check_t(t)
     exact = tnorm_exact(spec, t)
-    upper, atom_dominated = upper_bound(spec, t)
-    report_abs: Optional[float] = None
-    if atom_dominated:
-        edge, xi_dom = _upper_terms(spec, t)
-        report_abs = max(abs(xi_dom), edge)
+    upper, report_abs = _upper_terms(spec, t)
     lower = kargin = None
     if all_bounds:
         if spec.lminus >= 0.0:
@@ -187,7 +184,7 @@ def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
         t=t,
         exact=exact,
         upper_thm=upper,
-        atom_dominated=atom_dominated,
+        atom_dominated=report_abs is not None,
         asymptote=superconvergence_asymptote(spec, t),
         lower_thm=lower,
         kargin=kargin,

@@ -120,7 +120,7 @@ class TestFHeightHardInputs:
         u = self._points(kernel.beta)
         f = kernel.f_height(u)
         with np.errstate(divide="ignore"):
-            inside = kernel.psi(u) > kernel.s
+            inside = (kernel.c / (kernel.beta - u[:, None]) ** 2).sum(axis=1) > kernel.s
         assert np.all(f[~inside] == 0.0)
         d2 = (kernel.beta - u[inside, None]) ** 2
         secular = (T - 1.0) * (kernel.c / (d2 + f[inside, None] ** 2)).sum(axis=1)
@@ -134,7 +134,7 @@ class TestFHeightHardInputs:
         kernel = freepower._PowerKernel(make_measure(self.MEASURES["spread 1e12"]), 2.0)
         u = self._points(kernel.beta)
         kernel.f_height(u)
-        monkeypatch.setattr(freepower, "_HEIGHT_STEPS", 1)
+        monkeypatch.setattr(freepower, "_RISE_STEPS", 1)
         with pytest.raises(ConvergenceError):
             kernel.f_height(u)
 
@@ -515,6 +515,15 @@ class TestHardGeometries:
         assert hi == pytest.approx(2 * math.sqrt(3) * 1e4, abs=1e-4)
         assert lo == pytest.approx(-hi, abs=1e-4)
 
+    def test_edge_step_cap_raises(self, monkeypatch):
+        from freecontract import freepower
+
+        mu = make_measure([(-2.0, 0.25), (0.0, 0.5), (3.0, 0.25)])
+        assert len(free_power(mu, 1.5).support_components) == 2
+        monkeypatch.setattr(freepower, "_RISE_STEPS", 1)
+        with pytest.raises(ConvergenceError):
+            free_power(mu, 1.5)
+
 
 def _geometry_hull(result):
     ends = [e for comp in result.support_components for e in comp]
@@ -526,7 +535,7 @@ class TestSupportHull:
     # the two outer ends from mu alone, against the full geometry; errors
     # are relative to the hull's extent max(|lo|, |hi|), the norm's scale
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 9, 17, 40, 100, 300])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 17, 40, 100, 300, 2048])
     def test_matches_the_full_geometry(self, m):
         rng = seeded(77, m)
         pos = np.sort(rng.uniform(-1.0, 3.0, m))

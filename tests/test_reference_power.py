@@ -7,9 +7,9 @@ import pytest
 
 from conftest import seeded
 from freecontract.errors import ConvergenceError, DomainError
-from freecontract.freepower import free_power, support_hull
+from freecontract.freepower import b_set, free_power, support_hull
 from freecontract.measures import make_measure, nevanlinna_rho
-from reference_power import ReferencePower
+from reference_power import ReferencePower, _solve
 
 BASE = [(-1.0, 0.2), (0.0, 0.5), (0.5, 0.1), (2.0, 0.2)]
 
@@ -112,3 +112,21 @@ def test_hull_matches_the_reference(name):
     scale = max(abs(float(want[0])), abs(float(want[1])))
     assert abs(lo - float(want[0])) <= 1e-13 * scale, (lo, want)
     assert abs(hi - float(want[1])) <= 1e-13 * scale, (hi, want)
+
+
+@pytest.mark.parametrize("atoms", [
+    [(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)],
+    _random(43, 8),
+], ids=["three atoms", "m = 8"])
+def test_split_decision_at_its_threshold(atoms):
+    # the first gap to split as T falls does so at T_c = 1 + 1/min psi over
+    # that gap; 1e-6 either side, the number of curves is the reference's
+    mu = make_measure(atoms)
+    ref = ReferencePower(mu.atoms, 2.0)
+    lowest = min(ref.psi(_solve(ref.psi_prime, lo, hi)) for lo, hi in zip(ref.b, ref.b[1:]))
+    t_c = 1.0 + 1.0 / float(lowest)
+    counts = []
+    for T in (t_c * (1.0 - 1e-6), t_c * (1.0 + 1e-6)):
+        counts.append(len(b_set(mu, T)[0]))
+        assert counts[-1] == len(ReferencePower(mu.atoms, T).u_edges) // 2, T
+    assert counts == [2, 1]

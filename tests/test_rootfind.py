@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import seeded
 from freecontract import freepower, measures, rootfind
 from freecontract.errors import ConvergenceError
 from freecontract.freepower import _PowerKernel, b_set, free_power
@@ -79,7 +80,8 @@ def test_large_m_rho_interlaces_and_edges_solve_psi_equal_s():
     comps, roots = b_set(mu, T)
     assert len(comps) > 1
     kernel = _PowerKernel(mu, T)
-    psi = kernel.psi(np.array(roots) - kernel.tau)
+    u = np.array(roots) - kernel.tau
+    psi = (kernel.c / (kernel.beta - u[:, None]) ** 2).sum(axis=1)
     assert np.max(np.abs(psi - kernel.s)) <= 1e-9 * kernel.s
 
 
@@ -151,17 +153,54 @@ def _spectrum(m, seed):
     return HermitianSpec(int(mult.sum()), xi, mult).measure()
 
 
+def _edge_rows(monkeypatch):
+    """The run numbers of every row probed by a blockwise pass made through
+    freepower, one array per pass."""
+    passes = []
+    solve = freepower.blockwise
+
+    def counting(fn, width, *rows):
+        passes.append(rows[-1])
+        return solve(fn, width, *rows)
+
+    monkeypatch.setattr(freepower, "blockwise", counting)
+    return passes
+
+
 @pytest.mark.parametrize("m", [2, 64, 1024])
 def test_rho_and_critical_points_take_few_probes(monkeypatch, m):
+    # the critical points of H are the support edges: each edge run rises
+    # in a few Newton steps, and at T = 4 every gap is cleared by the
+    # closed-form first step, so only the two outer runs probe
     rho_calls = _counting(monkeypatch, measures)
     curve_calls = _counting(monkeypatch, freepower)
+    passes = _edge_rows(monkeypatch)
     for mu in (_spectrum(m, m), make_measure([(x, 1.0 / m) for x in np.linspace(-1, 1, m)])):
-        del rho_calls[:], curve_calls[:]
-        free_power(mu, 4.0)
-        rho_counts, critical_counts = rho_calls[0], curve_calls[0]
-        assert rho_counts.size == m - 1 and critical_counts.size == m - 2
+        del rho_calls[:], passes[:]
+        result = free_power(mu, 4.0)
+        rho_counts = rho_calls[0]
+        assert rho_counts.size == m - 1
         assert rho_counts.max() <= 8
-        assert critical_counts.max(initial=0) <= 8
+        assert not curve_calls
+        assert np.bincount(np.concatenate(passes)).max() <= 8
+        if m == 1024:
+            assert len(result.support_components) == 1
+            assert sum(rows.size for rows in passes) <= 16
+
+
+def test_edge_runs_stop_at_the_scale_of_the_edge(monkeypatch):
+    # a cluster 1e-3 wide gives rho atoms of weight ~1e-13, whose edges sit
+    # ~1e-7 from them: a run that stopped only when its distance d stopped
+    # growing would creep by an ulp of d, far below one of b_P + d, per step
+    passes = _edge_rows(monkeypatch)
+    for seed in range(10):
+        rng = seeded(500, seed)
+        pos = np.r_[rng.uniform(0.0, 1e-3, 25), rng.uniform(1.0, 2.0, 25)]
+        mu = make_measure(zip(pos, rng.dirichlet(np.full(50, 3.0))))
+        for T in (1.08, 1.5):
+            del passes[:]
+            free_power(mu, T)
+            assert np.bincount(np.concatenate(passes)).max() <= 12, (seed, T)
 
 
 @pytest.mark.parametrize("T", [1.1, 4.0])
