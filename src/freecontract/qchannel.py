@@ -12,8 +12,9 @@ Each reader computes only what it uses.  Output sampling draws the input
 stream in chunks of Gram matrices (the k x k output states); spectra come
 from a batched `eigvalsh`, while the concentration statistic reads only
 ||lambda - 1/k||_2 = ||rho - I/k||_F and so needs no eigenvalues.  The
-h_min line search evaluates trial points by value alone and forms the
-gradient only at accepted ones.
+h_min search takes nonmonotone Barzilai-Borwein steps on the unit sphere;
+it evaluates trial points by value alone and forms the gradient only at
+accepted ones.
 
 All sampling is deterministic in (seed, stream): channel isometries use the
 instance seed, input samples and optimizer restarts use caller-provided
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterator, Union
 
@@ -263,12 +265,16 @@ def concentration_stat(ch: ChannelInstance, count: int, seed: int) -> Concentrat
 
 
 def _entropy_value(ch: ChannelInstance, psi: np.ndarray) -> tuple[float, tuple]:
-    """Output entropy at psi and the (m, log lambda, eigenvectors) its gradient reuses."""
+    """Output entropy at psi and the (m, log lambda, eigenvectors) its gradient reuses.
+
+    Eigenvalues are clipped to [1e-18, 1], so every term lambda*log(lambda)
+    is at most 0 and the entropy is never below 0.
+    """
     m = (ch.V @ psi).reshape(ch.k, ch.n)
     lam, vec = np.linalg.eigh(m @ m.conj().T)
-    lam = np.maximum(lam, 1e-18)
+    lam = np.clip(lam, 1e-18, 1.0)
     log_lam = np.log(lam)
-    return -float((lam * log_lam).sum()), (m, log_lam, vec)
+    return 0.0 - float((lam * log_lam).sum()), (m, log_lam, vec)
 
 
 def _entropy_gradient(vh: np.ndarray, terms: tuple) -> np.ndarray:
@@ -279,47 +285,92 @@ def _entropy_gradient(vh: np.ndarray, terms: tuple) -> np.ndarray:
     return vh @ (grad_rho @ m).ravel()
 
 
+_MAX_STEPS = 500        # accepted steps per restart
+_MAX_HALVINGS = 30      # trials per step, each at half the last one's step
+_MEMORY = 10            # accepted values the nonmonotone test compares against
+_ARMIJO = 1e-4
+_STEP_MIN, _STEP_MAX = 1e-10, 1e10
+_GNORM_TOL = 1e-9
+_ZERO_TOL = 1e-12       # the entropy is nonnegative: this is the minimum
+
+
+def _tangent_gradient(vh: np.ndarray, psi: np.ndarray, terms: tuple) -> np.ndarray:
+    grad = _entropy_gradient(vh, terms)
+    return grad - np.vdot(psi, grad).real * psi
+
+
+def _descend(ch: ChannelInstance, vh: np.ndarray,
+             psi: np.ndarray) -> tuple[float, int, float, str]:
+    """One restart of gradient descent on the unit sphere from the unit vector psi.
+
+    A trial moves along the tangent gradient g and normalizes.  The first
+    trial step is 1; later ones are Barzilai-Borwein steps from the last
+    accepted move s and gradient change y, BB1 = <s,s>/<s,y> and
+    BB2 = <s,y>/<y,y> in turn (the step doubles when <s,y> <= 0), clamped to
+    [1e-10, 1e10].  A trial is accepted when its value is at most the
+    largest of the last 10 accepted values less 1e-4 * step * ||g||^2, and
+    is otherwise retried at half the step.  Trials cost one eigendecomposition
+    each; g is formed only at accepted points.
+
+    Returns (lowest value seen, accepted steps, final ||g||, stop), where
+    stop is "stationary" (||g|| <= 1e-9), "zero" (value <= 1e-12),
+    "stalled" (30 trials failed) or "cap" (500 accepted steps).
+    """
+    value, terms = _entropy_value(ch, psi)
+    g = _tangent_gradient(vh, psi, terms)
+    best, recent, step = value, deque([value], maxlen=_MEMORY), 1.0
+    for steps in range(_MAX_STEPS):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= _GNORM_TOL:
+            return best, steps, gnorm, "stationary"
+        if value <= _ZERO_TOL:
+            return best, steps, gnorm, "zero"
+        ceiling, decrease = max(recent), _ARMIJO * gnorm * gnorm
+        for _ in range(_MAX_HALVINGS):
+            cand = psi - step * g
+            cand /= np.linalg.norm(cand)
+            cand_value, terms = _entropy_value(ch, cand)
+            best = min(best, cand_value)
+            if cand_value <= ceiling - decrease * step:
+                break
+            step *= 0.5
+        else:
+            return best, steps, gnorm, "stalled"
+        cand_g = _tangent_gradient(vh, cand, terms)
+        s, y = cand - psi, cand_g - g
+        sy = np.vdot(s, y).real
+        if sy <= 0.0:
+            step *= 2.0
+        elif steps % 2 == 0:
+            step = np.vdot(s, s).real / sy
+        else:
+            step = sy / np.vdot(y, y).real
+        step = min(max(step, _STEP_MIN), _STEP_MAX)
+        psi, value, g = cand, cand_value, cand_g
+        recent.append(value)
+    return best, _MAX_STEPS, float(np.linalg.norm(g)), "cap"
+
+
 def hmin_estimate(ch: ChannelInstance, restarts: int, seed: int) -> float:
     """Heuristic upper estimate of the minimum output entropy.
 
-    Multi-start projected gradient descent over unit input vectors (the
-    entropy is concave, so rank-one inputs suffice): random start per
-    restart, tangent-space step with halving, 500-iteration cap.  A trial
-    point costs one k x k eigendecomposition; the gradient is formed only
-    at accepted points, from that decomposition and a V* taken once per
-    call.  The result only upper-bounds the true minimum; restarts with
-    nested seeds make the estimate monotone in the restart budget.
+    Multi-start gradient descent over unit input vectors (the entropy is
+    concave, so rank-one inputs suffice): a random start per restart, then
+    nonmonotone Barzilai-Borwein steps on the sphere until the tangent
+    gradient vanishes, the entropy reaches 0, no halved step is accepted, or
+    500 steps pass (`_descend`).  V* is taken once per call.  The result
+    only upper-bounds the true minimum; restart j draws its start from
+    stream STREAM_RESTART_BASE + j, so the estimate is monotone in the
+    restart budget.
     """
     if restarts < 1:
         raise DomainError("need restarts >= 1")
     vh = ch.V.conj().T
     best = math.inf
     for j in range(restarts):
-        rng = stream(seed, STREAM_RESTART_BASE + j)
-        psi = complex_normal(rng, ch.d)
+        psi = complex_normal(stream(seed, STREAM_RESTART_BASE + j), ch.d)
         psi /= np.linalg.norm(psi)
-        value, terms = _entropy_value(ch, psi)
-        grad = _entropy_gradient(vh, terms)
-        step = 1.0
-        for _ in range(500):
-            tangent = grad - np.vdot(psi, grad).real * psi
-            gnorm = np.linalg.norm(tangent)
-            if gnorm < 1e-12:
-                break
-            improved = False
-            for _ in range(30):
-                cand = psi - step * tangent
-                cand /= np.linalg.norm(cand)
-                cand_value, terms = _entropy_value(ch, cand)
-                if cand_value < value - 1e-14:
-                    psi, value, grad = cand, cand_value, _entropy_gradient(vh, terms)
-                    step *= 1.3
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        best = min(best, value)
+        best = min(best, _descend(ch, vh, psi)[0])
     return best
 
 

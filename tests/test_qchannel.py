@@ -8,6 +8,7 @@ from freecontract.errors import DomainError
 from freecontract.qchannel import (
     ChannelInstance,
     QuantumState,
+    _descend,
     _entropy_gradient,
     _entropy_value,
     apply_channel,
@@ -35,18 +36,18 @@ def _random_state(dim, seed):
 
 
 def _reference_hmin(ch, restarts, seed):
-    """The line search as first written: the entropy and its full gradient
-    at every trial point, V* formed at each evaluation, starts drawn as
-    (X + iY)/sqrt(2)."""
+    """The nonmonotone Barzilai-Borwein search written plainly: the entropy
+    and its full tangent gradient at every trial point, V* formed at each
+    evaluation, starts drawn as (X + iY)/sqrt(2)."""
     def entropy_and_gradient(psi):
         m = (ch.V @ psi).reshape(ch.k, ch.n)
         rho = m @ m.conj().T
         lam, vec = np.linalg.eigh(rho)
-        lam = np.clip(lam, 1e-18, None)
-        h = float(-np.sum(lam * np.log(lam)))
+        lam = np.clip(lam, 1e-18, 1.0)
+        h = 0.0 - float(np.sum(lam * np.log(lam)))
         grad_rho = vec @ (np.diag(-np.log(lam) - 1.0)) @ vec.conj().T
         grad = ch.V.conj().T @ (grad_rho @ m).ravel()
-        return h, grad
+        return h, grad - np.real(np.vdot(psi, grad)) * psi
 
     best = math.inf
     for j in range(restarts):
@@ -54,26 +55,36 @@ def _reference_hmin(ch, restarts, seed):
         psi = (rng.standard_normal(ch.d) + 1j * rng.standard_normal(ch.d)) / np.sqrt(2.0)
         psi /= np.linalg.norm(psi)
         value, grad = entropy_and_gradient(psi)
+        accepted = [value]
         step = 1.0
-        for _ in range(500):
-            tangent = grad - np.real(np.vdot(psi, grad)) * psi
-            gnorm = np.linalg.norm(tangent)
-            if gnorm < 1e-12:
+        best = min(best, value)
+        for it in range(500):
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm <= 1e-9 or value <= 1e-12:
                 break
             improved = False
             for _ in range(30):
-                cand = psi - step * tangent
+                cand = psi - step * grad
                 cand /= np.linalg.norm(cand)
                 cand_value, cand_grad = entropy_and_gradient(cand)
-                if cand_value < value - 1e-14:
-                    psi, value, grad = cand, cand_value, cand_grad
-                    step *= 1.3
+                best = min(best, cand_value)
+                if cand_value <= max(accepted[-10:]) - 1e-4 * gnorm * gnorm * step:
                     improved = True
                     break
                 step *= 0.5
             if not improved:
                 break
-        best = min(best, value)
+            s, y = cand - psi, cand_grad - grad
+            sy = np.real(np.vdot(s, y))
+            if sy <= 0.0:
+                step *= 2.0
+            elif it % 2 == 0:
+                step = np.real(np.vdot(s, s)) / sy
+            else:
+                step = sy / np.real(np.vdot(y, y))
+            step = min(max(step, 1e-10), 1e10)
+            psi, value, grad = cand, cand_value, cand_grad
+            accepted.append(value)
     return best
 
 
@@ -335,10 +346,39 @@ class TestHminEstimate:
         est = hmin_estimate(ch, 4, seed=10)
         assert est >= math.log(4) - 4 * (stat.bound * 1.05) ** 2 - 0.1
 
+    def test_scalar_channel_never_negative(self):
+        # the output is the number 1 for every input; rounding in its
+        # eigenvalue must not give a negative entropy
+        for seed in range(5):
+            ch = random_channel(1, 8, 0.5, seed=40 + seed)
+            assert hmin_estimate(ch, 2, seed=seed) >= 0.0
+
+    def test_restarts_converge_before_the_cap(self):
+        # 40 channels shaped like the benchmark's: k 2-6, n log-uniform on
+        # [8, 64], t in {0.3, 0.5}, two restarts each
+        rng = np.random.default_rng(901)
+        stops = []
+        for i in range(40):
+            k, t = 2 + i % 5, (0.3, 0.5)[i // 5 % 2]
+            n = int(np.rint(2.0 ** (3.0 + 3.0 * rng.random())))
+            ch = random_channel(k, n, t, seed=int(rng.integers(2**31)))
+            vh = ch.V.conj().T
+            for j in range(2):
+                psi = complex_normal(stream(i, STREAM_RESTART_BASE + j), ch.d)
+                psi /= np.linalg.norm(psi)
+                value, steps, gnorm, stop = _descend(ch, vh, psi)
+                assert stop in ("stationary", "zero", "stalled", "cap")
+                assert 0.0 <= value <= math.log(k) and 0 <= steps <= 500
+                if stop == "stationary":
+                    assert gnorm <= 1e-9
+                stops.append(stop)
+        assert stops.count("cap") <= 4
+
     @pytest.mark.parametrize("k, n, t", [(1, 8, 0.5), (2, 9, 0.3), (3, 8, 0.5), (4, 10, 0.3),
                                          (5, 8, 0.5), (6, 7, 0.3), (3, 5, 1.0)])
     def test_matches_every_trial_gradient_reference(self, k, n, t):
-        # value-only trials and one V* per call change no bit of the search
+        # value-only trials, gradients at accepted points only and one V* per
+        # call change no bit of the search
         ch = random_channel(k, n, t, seed=40 + k)
         assert hmin_estimate(ch, 2, seed=k) == _reference_hmin(ch, 2, seed=k)
 
