@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from freecontract.cli import main
@@ -161,6 +162,18 @@ class TestRmtCommand:
             assert main(["rmt", "--spec", bernoulli_spec_path, "--t", "0.25",
                          "--N", "200", "--seed", "9", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_failed_cholesky_exits_2(self, bernoulli_spec_path, tmp_path,
+                                     monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        out = tmp_path / "eigs.csv"
+        assert main(["rmt", "--spec", bernoulli_spec_path, "--t", "0.25",
+                     "--N", "200", "--seed", "7", "--out", str(out)]) == 2
+        assert "random-matrix oracle" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestChannelCommands:

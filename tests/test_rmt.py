@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from freecontract.errors import DomainError
+from freecontract import rmt
+from freecontract.errors import ConvergenceError, DomainError
 from freecontract.freepower import free_power
 from freecontract.measures import HermitianSpec
 from freecontract.rmt import (
@@ -83,6 +84,70 @@ class TestCompressedSpectrum:
     def test_small_N_rejected(self, bernoulli_spec):
         with pytest.raises(DomainError):
             compressed_spectrum(bernoulli_spec, 0.25, 50, seed=0)
+
+
+# the three spectra the Cholesky route is checked on against the QR route
+ROUTE_SPECS = {
+    "bernoulli": HermitianSpec(2, np.array([-1.0, 1.0]), np.array([1, 1])),
+    "asymmetric": HermitianSpec(7, np.array([-2.0, -0.3, 1.1, 2.5]),
+                                np.array([2, 2, 2, 1])),
+    "equal16": HermitianSpec(16, np.linspace(-1.0, 2.0, 16),
+                             np.ones(16, dtype=int)),
+}
+
+
+def _qr_route(spec, t, N, seed):
+    """The sample through the explicit phase-fixed isometry W of the same
+    Ginibre panel: the spectrum of t^-1 * (W* A W), symmetrized."""
+    diag = np.repeat(spec.eigenvalues, apportion_counts(spec, N))
+    w = haar_columns(N, floor_fraction(t, N), seed)
+    c = (w.conj().T * diag) @ w / t
+    return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+
+
+class TestCholeskyRoute:
+    # the Gram squares the Ginibre panel's condition number: eigenvalues move
+    # from the QR route's by about kappa(G)^2 * u * max|x| / t
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_SPECS))
+    @pytest.mark.parametrize("t, tol", [(0.1, 1e-12), (0.25, 1e-12), (0.5, 1e-12),
+                                        (0.9, 1e-12), (0.99, 1e-10)])
+    @pytest.mark.parametrize("N", [100, 1000])
+    def test_same_sample_as_qr_route(self, name, t, tol, N):
+        spec = ROUTE_SPECS[name]
+        got = compressed_spectrum(spec, t, N, seed=3).eigenvalues
+        scale = np.max(np.abs(spec.eigenvalues)) / t
+        assert np.max(np.abs(got - _qr_route(spec, t, N, 3))) <= tol * scale
+
+    def test_full_compression_is_the_spectrum(self):
+        # t = 1: W is unitary, so the sample is A's repeated spectrum
+        spec = ROUTE_SPECS["asymmetric"]
+        got = compressed_spectrum(spec, 1.0, 2000, seed=3).eigenvalues
+        want = np.sort(np.repeat(spec.eigenvalues, apportion_counts(spec, 2000)))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(spec.eigenvalues))
+
+    def test_atom_eigenvalues_stay_at_the_atom(self):
+        # {0 x3, 1}: a rank-250 A compressed to d = 500 keeps 250 zeros
+        spec = HermitianSpec(4, np.array([0.0, 1.0]), np.array([3, 1]))
+        eigs = compressed_spectrum(spec, 0.5, 1000, seed=3).eigenvalues
+        assert np.max(np.abs(eigs[:250])) <= 1e-13
+        assert eigs[250] > 1e-3
+
+    def test_no_isometry_is_formed(self, monkeypatch, bernoulli_spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle formed an isometry")
+
+        monkeypatch.setattr(rmt, "haar_columns", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        assert compressed_spectrum(bernoulli_spec, 0.25, 200, seed=1).d == 50
+
+    def test_failed_cholesky_is_a_convergence_error(self, monkeypatch, bernoulli_spec):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(ConvergenceError, match="random-matrix oracle"):
+            compressed_spectrum(bernoulli_spec, 0.25, 200, seed=1)
 
 
 class TestKSDistance:
