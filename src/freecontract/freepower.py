@@ -32,14 +32,21 @@ The support geometry is four arrays, the edges u_lo, u_hi of the k maximal
 intervals of B in order and the edges x_lo, x_hi of their images, and every
 reader indexes them: a point finds its component by one search against the
 image edges, and subordination solves all points in one bracketed Newton
-pass with per-point brackets.  All components are integrated in one pass,
-by a midpoint rule in the curve parameter with the edge-taming
-substitution u = u_lo + (u_hi - u_lo)*sin(theta)^2, under which the
-square-root edge behavior of the density becomes smooth: the cumulative
-sums form one (k, nodes + 2) CDF table whose last column is the
-components' masses.  Components whose images touch merge into one support
-interval, with their masses summed.  The table is built only when first
-read.
+pass with per-point brackets.  Components whose images touch merge into
+one support interval, with their masses summed.
+
+The power's distribution needs no quadrature.  With F = 1/G,
+H(omega) = T*omega - (T-1)*F(omega), so G*H' = T*G - (T-1)*F'/F is the
+derivative of T*sum_i w_i*log(omega - x_i) - (T-1)*log F(omega), and on
+the curve H(omega) = x gives F(omega) = (T*omega - x)/(T-1).  At centred x
+strictly inside a component, with omega its subordination point,
+
+    CDF(x)     = 1 + ((T-1)*arg(T*omega - x) - T*sum_i w_i*arg(omega - x_i))/pi,
+    density(x) = -Im G(omega)/pi = T*(T-1)*Im(omega) / (pi*|T*omega - x|^2).
+
+At a component's ends omega is real and each arg is 0 or pi, so its a.c.
+mass is T*mu((u_lo, u_hi)) + (T-1)*(chi(u_hi) - chi(u_lo)) with
+chi(u) = [G(u) < 0]: a sum of weights and a parity count.
 
 A norm reads only the two outer ends of the support, and `support_hull`
 finds them from mu alone, with no rho and no component geometry.  With
@@ -72,7 +79,6 @@ from .rootfind import NEWTON_ULPS, bisect, blockwise, damped_newton
 
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
 _COMPONENT_MERGE_TOL = 1e-10
-_CDF_GRID = 8192          # midpoint nodes per component table
 # Newton steps of the two monotone rises, a boundary height and a support
 # edge.  While a nearby light rho atom dominates S, each height step about
 # doubles y, for up to ~53 steps when the other atoms alone sit at the
@@ -87,9 +93,8 @@ class _PowerKernel:
 
     Construction computes only the moments and rho; the component geometry
     (`curves`, four edge arrays, and `starts`, where each merged support
-    component begins) is located on first use, and the one CDF table of all
-    components (`cdf_table`), whose last column is the a.c. masses, on first
-    read.
+    component begins) is located on first use, and the a.c. masses
+    (`masses`, one per curve) are counted from the atoms on first read.
 
     Everything is held in coordinates centred at the mean tau of mu: the
     atoms `xs` of mu, the rho atoms `beta`, the curve points w, and on the
@@ -135,11 +140,6 @@ class _PowerKernel:
         from the large-|z| asymptote w = z - (T-1)*mean."""
         return damped_newton(self.h_pair, z, z - (self.T - 1.0) * self.tau, tol,
                              "inverting H")
-
-    def g_mu(self, z: np.ndarray) -> np.ndarray:
-        """Cauchy transform of mu at centred points."""
-        z = np.asarray(z, dtype=complex)
-        return np.sum(self.weights[:, None] / (z[None, :] - self.xs[:, None]), axis=0)
 
     # -- boundary height -------------------------------------------------
 
@@ -263,44 +263,39 @@ class _PowerKernel:
         _, _, x_lo, x_hi = self.curves
         return np.flatnonzero(np.r_[True, x_lo[1:] - x_hi[:-1] > _COMPONENT_MERGE_TOL])
 
-    # -- quadrature --------------------------------------------------------
+    # -- closed forms ------------------------------------------------------
 
     @cached_property
-    def cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, cumulative a.c. mass), each of shape (k, _CDF_GRID + 2): row i
-        tabulates curve i's component, and the last column of the second
-        array holds the components' masses.
+    def masses(self) -> np.ndarray:
+        """A.c. mass of each curve's component (module docstring).  chi(u) is
+        the parity of the 2m - 1 atoms of mu and rho above u, since G falls
+        from +inf to -inf between two poles, through one rho atom.  An atom
+        on u_hi counts as above it, as in mu((u_lo, u_hi)), so an edge that
+        rounds onto an atom of mu moves a mass by at most that atom's
+        T*w - (T-1), ~0 there.  Each mu((u_lo, u_hi)) is one pairwise sum."""
+        u_lo, u_hi, _, _ = self.curves
+        n_lo = np.searchsorted(self.xs, u_lo, "right")
+        n_hi = np.searchsorted(self.xs, u_hi, "left")
+        chi_lo = (n_lo + np.searchsorted(self.beta, u_lo, "right") + 1) % 2
+        chi_hi = (n_hi + np.searchsorted(self.beta, u_hi, "left") + 1) % 2
+        runs = np.add.reduceat(np.r_[self.weights, 0.0], np.c_[n_lo, n_hi].ravel())[::2]
+        T = self.T
+        return T * np.where(n_hi > n_lo, runs, 0.0) + (T - 1.0) * (chi_hi - chi_lo)
 
-        One midpoint rule in theta covers every curve, at
-        u = u_lo + (u_hi - u_lo)*sin(theta)^2.  The nodes
-        theta_i = (i + 1/2)*step never sit on an edge, where mu may have an
-        atom; each solves its curve point once for both x = Re h(w) and the
-        integrand, the density times dx/dtheta, with dx/du = |h'|^2/Re h'
-        (0 at the edges, where h' -> 0), and is credited with half of its
-        own cell.  The edges (x_lo, 0) and (x_hi, mass) bracket each row.
-        """
-        u_lo, u_hi, x_lo, x_hi = self.curves
-        step = 0.5 * math.pi / _CDF_GRID
-        theta = (np.arange(_CDF_GRID) + 0.5) * step
-        sin_t = np.sin(theta)
-        width = (u_hi - u_lo)[:, None]
-        u = u_lo[:, None] + width * sin_t * sin_t
-        du = width * np.sin(2.0 * theta)
+    def cdf_inside(self, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """The CDF at centred x strictly inside a component, from its centred
+        subordination points omega = u + i*v: the module's formula regrouped
+        as 1 - sum_i w_i*(arg(omega - x_i) + (T-1)*theta_i)/pi, where
+        theta_i = arg((omega - x_i)*conj(T*omega - x)) has imaginary part
+        v*(T*x_i - x), so that no digits cancel at large T."""
+        xs, w, T = self.xs, self.weights, self.T
 
-        def nodes(u: np.ndarray, du: np.ndarray) -> np.ndarray:
-            omega = self.curve_point(u)
-            dens = -self.g_mu(omega).imag / math.pi
-            hp = self.h_prime(omega)
-            re_hp = hp.real
-            safe = re_hp > 0.0
-            xprime = np.where(safe, np.abs(hp) ** 2 / np.where(safe, re_hp, 1.0), 0.0)
-            return np.column_stack([self.h(omega).real, dens * xprime * du])
+        def turn(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+            u, v, x = omega.real[:, None], omega.imag[:, None], x[:, None]
+            theta = np.arctan2(v * (T * xs - x), (u - xs) * (T * u - x) + T * v * v)
+            return (w * (np.arctan2(v, u - xs) + (T - 1.0) * theta)).sum(axis=1)
 
-        table = blockwise(nodes, self.beta.size, u.ravel(), du.ravel())
-        cell = table[:, 1].reshape(u.shape) * step
-        cum = np.cumsum(cell, axis=1)
-        return (np.column_stack([x_lo, table[:, 0].reshape(u.shape), x_hi]),
-                np.column_stack([np.zeros(u_lo.size), cum - 0.5 * cell, cum[:, -1]]))
+        return 1.0 - blockwise(turn, xs.size, x, omega) / math.pi
 
     # -- subordination -----------------------------------------------------
 
@@ -338,9 +333,9 @@ class FreePowerResult:
     the boundary height is positive, and `boundary_roots` the real critical
     points of H (the endpoints of those intervals).  `x3`/`x4` are the
     rightmost support edge and rightmost critical point (None when there
-    is no a.c. part).  The CDF table, whose row ends are the curves' a.c.
-    masses (summed per component in `ac_masses`), is integrated on first
-    read.
+    is no a.c. part).  The a.c. masses are sums of weights of mu, counted
+    and checked on first read; `density` and `cdf` are closed forms at the
+    subordination point, which a point inside a component solves for.
     """
 
     T: float
@@ -358,7 +353,7 @@ class FreePowerResult:
         ConvergenceError unless atomic plus a.c. mass is 1 within 1e-6."""
         kernel = self._kernel
         masses = () if kernel is None else tuple(
-            np.add.reduceat(kernel.cdf_table[1][:, -1], kernel.starts).tolist())
+            np.add.reduceat(kernel.masses, kernel.starts).tolist())
         ac, atomic = sum(masses), self.atomic_mass
         if not abs(ac + atomic - 1.0) <= _MASS_TOL:   # a NaN mass fails too
             raise ConvergenceError(f"mass conservation violated: a.c. {ac:.9f} + "
@@ -381,7 +376,8 @@ class FreePowerResult:
         kernel = self._kernel
         if kernel is not None:
             omega, inside = kernel.subordinate(xq)
-            out[inside] = np.maximum(-kernel.g_mu(omega).imag / math.pi, 0.0)
+            T, x = kernel.T, xq[inside] - kernel.shift
+            out[inside] = T * (T - 1.0) * omega.imag / (math.pi * np.abs(T * omega - x) ** 2)
         return float(out[0]) if scalar else out
 
     def subordination(self, x) -> np.ndarray | complex:
@@ -397,17 +393,20 @@ class FreePowerResult:
         return complex(out[0]) if scalar else out
 
     def cdf(self, x) -> np.ndarray | float:
-        """Distribution function (a.c. integral plus atom steps)."""
+        """Distribution function: in closed form inside a component, else
+        the masses of the components and atoms at or below x."""
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xq)
-        if self.ac_masses:   # the first read integrates and checks the masses
-            for xs, cum in zip(*self._kernel.cdf_table):
-                out += np.interp(xq - self._kernel.shift, xs, cum, left=0.0,
-                                 right=cum[-1])
         if self.atoms:
             pos, mass = np.array(self.atoms).T
             out += np.r_[0.0, np.cumsum(mass)][np.searchsorted(pos, xq, side="right")]
+        if self.ac_masses:   # the first read sums and checks the masses
+            kernel = self._kernel
+            ends = kernel.curves[3] + kernel.shift
+            out += np.r_[0.0, np.cumsum(kernel.masses)][np.searchsorted(ends, xq, "right")]
+            omega, inside = kernel.subordinate(xq)
+            out[inside] = kernel.cdf_inside(xq[inside] - kernel.shift, omega)
         return float(out[0]) if scalar else out
 
     def to_json(self, density_grid: int = 0) -> dict:
@@ -544,7 +543,7 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
 
     Only the geometry is located here: T = 1 repackages mu and a one-atom
     measure gives the moved point mass, both with no a.c. part.  The a.c.
-    masses are integrated when `ac_masses` (or `ac_mass`, `to_json`, `cdf`)
+    masses are counted when `ac_masses` (or `ac_mass`, `to_json`, `cdf`)
     is first read, which raises ConvergenceError unless the atomic plus a.c.
     mass reproduces 1 within 1e-6.
     """

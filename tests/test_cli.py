@@ -80,13 +80,12 @@ class TestLostMass:
     def test_power_refuses_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         from freecontract import freepower
 
-        integrate = freepower._PowerKernel.cdf_table.func
+        exact = freepower._PowerKernel.masses.func
 
         def lossy(self):
-            xs, cum = integrate(self)
-            return xs, cum * (1.0 - 1e-5)
+            return exact(self) * (1.0 - 1e-5)
 
-        monkeypatch.setattr(freepower._PowerKernel.cdf_table, "func", lossy)
+        monkeypatch.setattr(freepower._PowerKernel.masses, "func", lossy)
         measure = tmp_path / "offset.json"
         measure.write_text(json.dumps(
             {"atoms": [{"x": 1e8, "w": 0.5}, {"x": 1e8 + 1.0, "w": 0.5}]}))

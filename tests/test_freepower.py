@@ -204,13 +204,14 @@ class TestSupportComponents:
 class TestArcsineCdf:
     # the T = 2 power of the symmetric Bernoulli law is the arcsine law on
     # [-2, 2]; the component edges sit on the atoms of mu, where the CDF
-    # table places no node
+    # rises like a square root
 
     def test_cdf_matches_closed_form(self, bernoulli):
         result = free_power(bernoulli, 2.0)
-        xs = np.linspace(-2.0, 2.0, 401)
+        near = 10.0 ** -np.arange(1, 16)
+        xs = np.r_[np.linspace(-2.0, 2.0, 401), 2.0 - near, -2.0 + near]
         expect = 0.5 + np.arcsin(xs / 2.0) / math.pi
-        assert np.max(np.abs(result.cdf(xs) - expect)) <= 1e-6
+        assert np.max(np.abs(result.cdf(xs) - expect)) <= 1e-9
         assert result.cdf(-3.0) == 0.0
 
     def test_cdf_ends_at_the_mass(self, bernoulli):
@@ -219,14 +220,31 @@ class TestArcsineCdf:
         assert result.cdf(3.0) == result.ac_mass
         assert abs(result.ac_mass - 1.0) <= 1e-9
 
-    def test_masses_are_the_table_ends(self, bernoulli):
+    def test_masses_are_sums_of_weights(self, bernoulli):
+        # each curve holds one rho atom and no atom of mu: mass T - 1
         result = free_power(make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]), 1.05)
-        ends = tuple(result._kernel.cdf_table[1][:, -1])
-        assert len(ends) == 2
-        assert result.ac_masses == ends
+        assert len(result.ac_masses) == 2
+        for mass in result.ac_masses:
+            assert abs(mass - (result.T - 1.0)) <= 1e-15
         with_atoms = free_power(bernoulli, 1.5)
         beyond = max(with_atoms.x3, with_atoms.atoms[-1][0]) + 1.0
         assert with_atoms.cdf(beyond) == with_atoms.ac_mass + with_atoms.atomic_mass
+
+    @pytest.mark.parametrize("T", [1e6, 1e9, 1e12])
+    def test_cdf_at_huge_powers(self, bernoulli, T):
+        # at x = 2*sqrt(T-1)*sin(phi) the T-th power of the symmetric
+        # Bernoulli law has CDF 1/2 + (T*phi - (T-2)*atan((T-2)/T*tan(phi)))/(2*pi);
+        # its two terms cancel to O(1), so the reference takes 40 digits
+        mp = pytest.importorskip("mpmath").mp
+        result = free_power(bernoulli, T)
+        (_, hi), = result.support_components
+        xs = hi * np.linspace(-0.999, 0.999, 23)
+        with mp.workdps(40):
+            t = mp.mpf(T)
+            phis = [mp.asin(mp.mpf(x) / (2 * mp.sqrt(t - 1))) for x in xs]
+            expect = [float(0.5 + (t * p - (t - 2) * mp.atan((t - 2) / t * mp.tan(p)))
+                            / (2 * mp.pi)) for p in phis]
+        assert np.max(np.abs(result.cdf(xs) - expect)) <= 1e-9
 
 
 class TestManyComponents:
@@ -651,16 +669,16 @@ class TestTransformsSkipComponentLocation:
 
 class TestLazyMasses:
     # the norm, support, density and subordination read only the geometry;
-    # component masses and CDF tables are integrated on first read, once
+    # component masses are summed on first read, once
 
     def test_geometry_paths_never_integrate(self, bernoulli, bernoulli_spec,
                                             monkeypatch, tmp_path):
         from freecontract import cli, freepower, tnorm
 
         def refuse(self):
-            raise AssertionError("a component mass was integrated")
+            raise AssertionError("a component mass was computed")
 
-        monkeypatch.setattr(freepower._PowerKernel.cdf_table, "func", refuse)
+        monkeypatch.setattr(freepower._PowerKernel.masses, "func", refuse)
         assert tnorm.tnorm_exact(bernoulli_spec, 0.25) == pytest.approx(SQRT3 / 2, abs=1e-9)
         tnorm.tnorm_report(bernoulli_spec, 0.5)
         assert len(support_components(bernoulli, 4.0)) == 1
@@ -673,18 +691,17 @@ class TestLazyMasses:
         assert cli.main(["tnorm", "--spec", str(spec_path), "--t", "0.25",
                          "--out", str(tmp_path / "report.json")]) == 0
 
-    def test_each_curve_integrated_once(self, monkeypatch):
+    def test_masses_built_once_per_result(self, monkeypatch):
         from freecontract import freepower
 
         calls = []
-        integrate = freepower._PowerKernel.cdf_table.func
+        exact = freepower._PowerKernel.masses.func
 
         def counting(self):
-            u_lo, u_hi, _, _ = self.curves
-            calls.extend(zip(u_lo + self.tau, u_hi + self.tau))
-            return integrate(self)
+            calls.append(self)
+            return exact(self)
 
-        monkeypatch.setattr(freepower._PowerKernel.cdf_table, "func", counting)
+        monkeypatch.setattr(freepower._PowerKernel.masses, "func", counting)
         mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
         result = free_power(mu, 1.05)
         assert calls == []
@@ -692,13 +709,28 @@ class TestLazyMasses:
             assert result.to_json()["ac_masses"] == list(result.ac_masses)
             assert result.ac_mass == pytest.approx(1.0 - result.atomic_mass, abs=1e-6)
             assert result.cdf(10.0) == pytest.approx(1.0, abs=1e-6)
-        assert sorted(calls) == sorted(result.bt_components)
+            assert 0.0 < result.cdf(0.5) < result.cdf(1.5) < 1.0
+        assert calls == [result._kernel]
+        free_power(mu, 1.05).ac_masses
         assert len(calls) == 2
 
-    def test_cdf_table_cached_and_blocked(self, monkeypatch):
-        import tracemalloc
-
+    def test_masses_need_no_height_and_no_subordination(self, monkeypatch):
         from freecontract import freepower
+
+        def refuse(self, x):
+            raise AssertionError("a curve point was solved")
+
+        monkeypatch.setattr(freepower._PowerKernel, "f_height", refuse)
+        monkeypatch.setattr(freepower._PowerKernel, "subordinate", refuse)
+        m = 128
+        mu = make_measure([(x, 1.0 / m) for x in np.linspace(-1.0, 1.0, m)])
+        result = free_power(mu, 4.0)
+        assert abs(result.ac_mass - 1.0) <= 1e-12
+        three = free_power(make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]), 1.05)
+        assert len(three.ac_masses) == 2
+
+    def test_cdf_blocked(self):
+        import tracemalloc
 
         m = 256
         mu = make_measure([(x, 1.0 / m) for x in np.linspace(-1.0, 1.0, m)])
@@ -706,17 +738,11 @@ class TestLazyMasses:
         xs = np.linspace(-3.0, 3.0, 10)
         tracemalloc.start()
         try:
-            first = result.cdf(xs)
+            result.cdf(xs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-
-        def refuse(self, u):
-            raise AssertionError("the CDF table was rebuilt")
-
-        monkeypatch.setattr(freepower._PowerKernel, "f_height", refuse)
-        assert np.array_equal(result.cdf(xs), first)
 
 
 class TestPowerCauchyPair:

@@ -130,3 +130,18 @@ def test_split_decision_at_its_threshold(atoms):
         counts.append(len(b_set(mu, T)[0]))
         assert counts[-1] == len(ReferencePower(mu.atoms, T).u_edges) // 2, T
     assert counts == [2, 1]
+
+
+@pytest.mark.parametrize("name", ["m = 8", "m = 16"])
+def test_cdf_increments_integrate_the_density(name):
+    # an independent check of the closed-form CDF: between interior points
+    # of a component its increment is the quadrature of the density, which
+    # test_power_matches_the_reference holds to the 50-digit reference
+    integrate = pytest.importorskip("scipy.integrate")
+    atoms, T = CASES[name]
+    result = free_power(make_measure(atoms), T)
+    for lo, hi in result.support_components:
+        for a, b in ((0.05, 0.5), (0.3, 0.95)):
+            a, b = lo + a * (hi - lo), lo + b * (hi - lo)
+            area, _ = integrate.quad(result.density, a, b, epsabs=1e-14, limit=200)
+            assert abs(result.cdf(b) - result.cdf(a) - area) <= 1e-10, (a, b)
