@@ -26,7 +26,8 @@ come from guaranteed sign-change brackets, solved together by one
 vectorized safeguarded Newton iteration on functions with their bracketing
 poles cleared.  Everything is computed in coordinates centred at the mean
 of mu and shifted back at the public boundary, so an offset spectrum keeps
-its digits.
+its digits.  Each point's sum over atoms is one row; blocks hold at most
+`BLOCK_ELEMENTS` numbers, so no answer depends on the batch.
 
 The support geometry is four arrays, the edges u_lo, u_hi of the k maximal
 intervals of B in order and the edges x_lo, x_hi of their images, and every
@@ -101,39 +102,44 @@ class _PowerKernel:
     power's side x' = x - `shift` with shift = T*tau, since
     H(w + tau) = h(w) + T*tau for the centred map h below.  `h_pair` and
     `invert_h` take and give absolute points and `subordinate` takes
-    absolute x; other callers shift at the public boundary.
+    absolute x; other callers shift at the public boundary.  Each point's
+    sum over atoms is one row; blocks hold at most `BLOCK_ELEMENTS` numbers.
     """
 
     def __init__(self, mu: AtomicMeasure, T: float):
-        if T <= 1.0:
-            raise DomainError("subordination is defined for powers T > 1")
+        if not 1.0 < T < math.inf:
+            raise DomainError("subordination is defined for finite powers T > 1")
         self.T = float(T)
         self.tau, self.var = moments(mu)
         self.shift = self.T * self.tau
         self.xs, self.weights = mu.positions - self.tau, mu.weights
         rho = nevanlinna_rho(AtomicMeasure(self.xs, self.weights, mu.total_mass))
-        self.beta = rho.positions
-        self.c = rho.weights
+        self.beta, self.c = rho.positions, rho.weights
         self.s = 1.0 / (self.T - 1.0)
 
     # -- pointwise building blocks -------------------------------------
 
     def h(self, z: np.ndarray) -> np.ndarray:
         """Centred map h(w) = w + (T-1)*sum_j c_j/(w - b_j)."""
-        z = np.asarray(z, dtype=complex)
-        return z + (self.T - 1.0) * np.sum(
-            self.c[:, None] / (z[None, :] - self.beta[:, None]), axis=0)
+        T, beta, c = self.T, self.beta, self.c
+        return blockwise(lambda z: z + (T - 1.0) * (c / (z[:, None] - beta)).sum(axis=1),
+                         beta.size, np.asarray(z, dtype=complex))
 
-    def h_prime(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        return 1.0 - (self.T - 1.0) * np.sum(
-            self.c[:, None] / (z[None, :] - self.beta[:, None]) ** 2, axis=0
-        )
+    def h_and_prime(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h, h') at centred points, both from one reciprocal 1/(w - b_j)."""
+        T, beta, c = self.T, self.beta, self.c
+
+        def rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            q = np.reciprocal(z[:, None] - beta)
+            t = q * c
+            return z + (T - 1.0) * t.sum(axis=1), 1.0 - (T - 1.0) * (q * t).sum(axis=1)
+
+        return tuple(blockwise(rows, beta.size, np.asarray(z, dtype=complex)))
 
     def h_pair(self, w: complex) -> tuple[complex, complex]:
         """Scalar (H(w), H'(w)) at an absolute point w."""
-        z = np.array([complex(w) - self.tau])
-        return complex(self.h(z)[0]) + self.shift, complex(self.h_prime(z)[0])
+        h, hp = self.h_and_prime(np.array([complex(w) - self.tau]))
+        return complex(h[0]) + self.shift, complex(hp[0])
 
     def invert_h(self, z: complex, tol: float) -> complex:
         """Absolute w in the upper half plane with H(w) = z, by damped Newton
@@ -154,33 +160,34 @@ class _PowerKernel:
         step no longer raises its y; outside B that is the first step, from
         y = 0.  ConvergenceError after _RISE_STEPS steps.
         """
-        u = np.asarray(u, dtype=float)
-        # (atoms x points): many points over few atoms sum fastest by rows
-        d2 = self.beta[:, None] - u
-        d2 *= d2
-        c, s = self.c[:, None], self.s
-        y = (c / s - d2).max(axis=0, initial=0.0)
-        idx, yy = np.arange(u.size), y
-        # with no rho atoms (one-atom mu) the step is 0/0 = NaN, which stops
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_RISE_STEPS):
-                q = np.reciprocal(d2 + yy)
-                r = c * q
-                big_s = r.sum(axis=0)
-                r *= q
-                nxt = yy + big_s * (big_s - s) / (s * r.sum(axis=0))
-                rising = nxt > yy
-                if not rising.all():
-                    y[idx] = yy
-                    idx, d2, nxt = idx[rising], d2[:, rising], nxt[rising]
-                yy = nxt
-                if not idx.size:
-                    return np.sqrt(y)
-        raise ConvergenceError(f"boundary height: Newton still rising after "
-                               f"{_RISE_STEPS} steps at {idx.size} points")
+        beta, c, s = self.beta, self.c, self.s
+
+        def rise(u: np.ndarray) -> np.ndarray:
+            d2 = u[:, None] - beta
+            d2 *= d2
+            y = (c / s - d2).max(axis=1, initial=0.0)
+            idx, yy = np.arange(u.size), y
+            # with no rho atoms (one-atom mu) the step is 0/0 = NaN, which stops
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for _ in range(_RISE_STEPS):
+                    q = np.reciprocal(d2 + yy[:, None])
+                    r = c * q
+                    big_s = r.sum(axis=1)
+                    r *= q
+                    nxt = yy + big_s * (big_s - s) / (s * r.sum(axis=1))
+                    rising = nxt > yy
+                    if not rising.all():
+                        y[idx] = yy
+                        idx, d2, nxt = idx[rising], d2[rising], nxt[rising]
+                    yy = nxt
+                    if not idx.size:
+                        return np.sqrt(y)
+            raise ConvergenceError(f"boundary height: Newton still rising after "
+                                   f"{_RISE_STEPS} steps at {idx.size} points")
+
+        return blockwise(rise, beta.size, np.asarray(u, dtype=float))
 
     def curve_point(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
         return u + 1j * self.f_height(u)
 
     # -- component geometry ----------------------------------------------
@@ -213,14 +220,14 @@ class _PowerKernel:
         pole, sign = np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m)
         width = np.diff(beta)
 
-        def probe(d: np.ndarray, i: np.ndarray) -> np.ndarray:
+        def probe(d: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             p, sg = pole[i], sign[i]
             inv = 1.0 / (beta - (beta[p] + sg * d)[:, None])
             terms = c * inv * inv
             terms[np.arange(d.size), p] = 0.0
             q = c[p] + terms.sum(axis=1) * d * d
             slope = (c[p] - sg * (terms * inv).sum(axis=1) * d**3) / (q * np.sqrt(q))
-            return np.column_stack([d / np.sqrt(q), slope])
+            return d / np.sqrt(q), slope
 
         d = level * np.sqrt(c[pole])
         running = np.ones(2 * m, dtype=bool)
@@ -232,7 +239,7 @@ class _PowerKernel:
                 idx = np.flatnonzero(running)
                 if not idx.size:
                     break
-                g, gp = blockwise(probe, m, d[idx], idx).T
+                g, gp = blockwise(probe, m, d[idx], idx)
                 step = (level - g) / gp
                 # g' <= 0 below sqrt(T-1): by concavity g stays below it
                 # beyond, and an infinite distance closes the gap
@@ -249,10 +256,7 @@ class _PowerKernel:
         u_lo, u_hi = edges[:k], edges[k:]
         if np.any(np.searchsorted(beta, u_hi) <= np.searchsorted(beta, u_lo, "right")):
             raise ConvergenceError("a located component contains no rho atom")
-        # h at the edges, each summed over its own row: bit for bit what h
-        # gives for that edge alone
-        z = edges + 0j
-        x = (z + (self.T - 1.0) * (c / (z[:, None] - beta)).sum(axis=1)).real
+        x = self.h(edges).real
         return u_lo, u_hi, x[:k], x[k:]
 
     @cached_property
@@ -314,9 +318,8 @@ class _PowerKernel:
         target, comp = x[inside] - self.shift, comp[inside]
 
         def probe(u: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            omega = self.curve_point(u)
-            hp = self.h_prime(omega)
-            return self.h(omega).real - target[idx], np.abs(hp) ** 2 / hp.real
+            h, hp = self.h_and_prime(self.curve_point(u))
+            return h.real - target[idx], np.abs(hp) ** 2 / hp.real
 
         u = bisect(probe, u_lo[comp], u_hi[comp], self.beta.size)
         return self.curve_point(u), inside
@@ -372,7 +375,7 @@ class FreePowerResult:
         """Absolutely continuous density; 0 outside the support interior."""
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xq)
+        out = np.where(np.isnan(xq), np.nan, 0.0)
         kernel = self._kernel
         if kernel is not None:
             omega, inside = kernel.subordinate(xq)
@@ -394,10 +397,10 @@ class FreePowerResult:
 
     def cdf(self, x) -> np.ndarray | float:
         """Distribution function: in closed form inside a component, else
-        the masses of the components and atoms at or below x."""
+        the masses of the components and atoms at or below x; NaN at a NaN x."""
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xq)
+        out = np.where(np.isnan(xq), np.nan, 0.0)
         if self.atoms:
             pos, mass = np.array(self.atoms).T
             out += np.r_[0.0, np.cumsum(mass)][np.searchsorted(pos, xq, side="right")]
@@ -470,8 +473,8 @@ def _boundary_roots(bt: Sequence[tuple[float, float]]) -> tuple[float, ...]:
 
 def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
     """Point masses of the T-th power: (T*x, T*w - (T-1)) where w > 1 - 1/T."""
-    if T < 1.0:
-        raise DomainError("powers are defined for T >= 1")
+    if not 1.0 <= T < math.inf:
+        raise DomainError("powers are defined for finite T >= 1")
     thr = 1.0 - 1.0 / T
     return tuple(
         (T * float(x), T * float(w) - (T - 1.0))
@@ -534,8 +537,8 @@ def power_voiculescu(mu: AtomicMeasure, T: float, z: complex) -> complex:
 def _check_power(mu: AtomicMeasure, T: float) -> None:
     if not mu.is_probability():
         raise DomainError("powers are defined for probability measures")
-    if T < 1.0:
-        raise DomainError("powers are defined for T >= 1 only")
+    if not 1.0 <= T < math.inf:
+        raise DomainError("powers are defined for finite T >= 1 only")
 
 
 def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:

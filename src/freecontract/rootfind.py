@@ -11,7 +11,9 @@ probed function finite on the closed bracket and Newton's model good next
 to them.  The support edges and the boundary heights need no bracket: each
 is the root of a concave increasing function, reached by monotone Newton
 steps from below (see :mod:`freecontract.freepower`), with probes in
-:func:`blockwise` rows and the same NEWTON_ULPS stop for the edges.
+:func:`blockwise` rows and the same NEWTON_ULPS stop for the edges.  Each
+point's sum over atoms is one row; blocks hold at most BLOCK_ELEMENTS
+numbers, and numpy sums a row the same way whatever rows share its block.
 
 Complex equations (inverting analytic maps on the upper half plane) go
 through one damped Newton iteration, :func:`damped_newton`.
@@ -40,15 +42,15 @@ BLOCK_ELEMENTS = 2**16
 
 
 def blockwise(fn: Callable[..., np.ndarray], width: int, *rows: np.ndarray) -> np.ndarray:
-    """fn applied to row blocks of equally long arrays, the results
-    concatenated; `width` is the number of atoms fn pairs with each row,
-    and a block holds at most BLOCK_ELEMENTS // width rows."""
+    """fn applied to row blocks of equally long arrays, its results (arrays
+    or tuples of arrays) joined along the rows; fn pairs `width` atoms with
+    each row, and a block holds at most BLOCK_ELEMENTS // width rows."""
     n = len(rows[0])
     step = max(1, BLOCK_ELEMENTS // max(1, width))
     if n <= step:
         return fn(*rows)
     return np.concatenate([fn(*(r[i:i + step] for r in rows))
-                           for i in range(0, n, step)])
+                           for i in range(0, n, step)], axis=-1)
 
 
 def bisect(
@@ -86,12 +88,6 @@ def bisect(
     idx = np.arange(lo.size)
     a, b, x = lo, hi, root.copy()
     done = np.zeros(lo.size, dtype=bool)
-
-    def pair(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out = np.empty((x.size, 2))
-        out[:, 0], out[:, 1] = probe(x, rows)
-        return out
-
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_STEPS):
             live = (a < x) & (x < b) & ~done
@@ -101,7 +97,7 @@ def bisect(
                 tol = tol[live]
             if not idx.size:
                 return root
-            f, fp = blockwise(pair, width, x, idx).T
+            f, fp = blockwise(lambda x, i: np.broadcast_arrays(*probe(x, i)), width, x, idx)
             up = f < 0.0
             a = np.where(up, x, a)
             b = np.where(up, b, x)

@@ -53,8 +53,8 @@ def _check_t(t: float) -> float:
 
 def support_bounds(spec: HermitianSpec, T: float) -> tuple[float, float]:
     """Outer enclosure [x1, x2] of the a.c. support of the T-th power."""
-    if T <= 1.0:
-        raise DomainError("support bounds apply to powers T > 1")
+    if not 1.0 < T < math.inf:
+        raise DomainError("support bounds apply to finite powers T > 1")
     spread = 2.0 * spec.sigma * math.sqrt(T - 1.0)
     shift = (T - 1.0) * spec.mean
     return spec.lminus - spread + shift, spec.lplus + spread + shift

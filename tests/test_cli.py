@@ -71,6 +71,15 @@ class TestPowerCommand:
         assert hi == pytest.approx(2 * math.sqrt(3), abs=1e-9)
         assert len(obj["density_table"]["x"]) == 50
 
+    def test_nan_power_exit_2_with_domain_error(self, bernoulli_measure_path, tmp_path,
+                                                capsys):
+        out = tmp_path / "never.json"
+        code = main(["power", "--measure", bernoulli_measure_path, "--T", "nan",
+                     "--out", str(out)])
+        assert code == 2
+        assert "finite T >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLostMass:
     # a power whose components miss the unit mass by more than 1e-6 is

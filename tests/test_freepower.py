@@ -13,6 +13,7 @@ from freecontract.freepower import (
     f_height,
     free_power,
     h_transform,
+    power_cauchy_pair,
     power_voiculescu,
     subordination,
     support_components,
@@ -307,6 +308,24 @@ class TestManyComponents:
             np.testing.assert_allclose(power.cdf(xs), below, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("T", [1.01, 4.0])
+def test_answers_do_not_depend_on_the_batch(T):
+    # each point's sums over atoms are one row, so a point gets the same
+    # bits whichever other points share its call; at T = 1.01 all but the
+    # two-atom measure have several components
+    for trial in range(20):
+        rng = seeded(77, trial)
+        m = int(rng.integers(2, 41))
+        spread = 0.3 if trial % 4 else 3.0
+        mu = random_measure(rng, n_min=m, n_max=m, spread=spread, min_gap=1e-6)
+        result = free_power(mu, T)
+        result.ac_masses
+        xs = np.concatenate([np.linspace(a, b, 5)[1:-1] for a, b in result.support_components])
+        for read in (result.subordination, result.density, result.cdf):
+            alone = np.array([read(x) for x in xs.tolist()])
+            assert np.array_equal(read(xs), alone), (trial, read.__name__)
+
+
 class TestAtoms:
     def test_bernoulli_T15(self, bernoulli):
         atoms = atoms_of_power(bernoulli, 1.5)
@@ -397,6 +416,41 @@ class TestFreePower:
     def test_T_below_one_rejected(self, bernoulli):
         with pytest.raises(DomainError):
             free_power(bernoulli, 0.8)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda mu, T: h_transform(mu, T, 1j),
+        lambda mu, T: b_set(mu, T),
+        lambda mu, T: f_height(mu, T, 0.0),
+        lambda mu, T: support_components(mu, T),
+        lambda mu, T: atoms_of_power(mu, T),
+        lambda mu, T: subordination(mu, T, 0.0),
+        lambda mu, T: density(mu, T, 0.0),
+        lambda mu, T: power_cauchy_pair(mu, T, 1j),
+        lambda mu, T: power_voiculescu(mu, T, 10j),
+        lambda mu, T: free_power(mu, T),
+        lambda mu, T: support_hull(mu, T),
+        lambda mu, T: support_bounds(HermitianSpec(2, np.array([-1.0, 1.0]),
+                                                   np.array([1, 1])), T),
+    ], ids=["h_transform", "b_set", "f_height", "support_components", "atoms_of_power",
+            "subordination", "density", "power_cauchy_pair", "power_voiculescu",
+            "free_power", "support_hull", "support_bounds"])
+    def test_non_finite_T_rejected(self, bernoulli, call, T):
+        with pytest.raises(DomainError):
+            call(bernoulli, T)
+
+    @pytest.mark.parametrize("atoms", [[(-1.0, 0.5), (1.0, 0.5)],
+                                       [(0.0, 0.75), (1.0, 0.25)]])
+    def test_nan_query_gives_nan(self, atoms):
+        # {0 x3, 1} keeps an atom at 0 at T = 2, which the CDF steps over
+        result = free_power(make_measure(atoms), 2.0)
+        x = np.array([math.nan, -math.inf, math.inf, 0.7])
+        p, cdf = result.density(x), result.cdf(x)
+        assert math.isnan(p[0]) and math.isnan(cdf[0])
+        assert math.isnan(result.density(math.nan)) and math.isnan(result.cdf(math.nan))
+        np.testing.assert_array_equal(p[1:3], [0.0, 0.0])
+        np.testing.assert_array_equal(cdf[1:3], [0.0, 1.0])
+        assert p[3] > 0.0 and 0.0 < cdf[3] < 1.0
 
     def test_bernoulli_T15_structure(self, bernoulli):
         result = free_power(bernoulli, 1.5)
@@ -732,24 +786,29 @@ class TestLazyMasses:
     def test_cdf_blocked(self):
         import tracemalloc
 
-        m = 256
-        mu = make_measure([(x, 1.0 / m) for x in np.linspace(-1.0, 1.0, m)])
-        result = free_power(mu, 4.0)
-        xs = np.linspace(-3.0, 3.0, 10)
-        tracemalloc.start()
-        try:
-            result.cdf(xs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        def equal(m):
+            return make_measure([(x, 1.0 / m) for x in np.linspace(-1.0, 1.0, m)])
+
+        result = free_power(equal(256), 4.0)
+        (lo, hi), = result.support_components
+        inner = np.linspace(lo, hi, 2002)[1:-1]
+        for run in (lambda: result.cdf(np.linspace(-3.0, 3.0, 10)),
+                    lambda: result.density(inner),
+                    lambda: result.cdf(inner),
+                    lambda: free_power(equal(1024), 1.001)):   # 783 curves
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
 
 class TestPowerCauchyPair:
     def test_arcsine_transform_oracle(self, bernoulli):
         # the T = 2 power is the arcsine law on [-2, 2], whose Cauchy
         # transform is 1/sqrt(z^2 - 4) with the upper-half-plane branch
-        from freecontract.freepower import power_cauchy_pair
         for z in (2j, 1.0 + 1.5j, -0.7 + 0.4j):
             g, f = power_cauchy_pair(bernoulli, 2.0, z)
             root = np.sqrt(complex(z) ** 2 - 4.0)
