@@ -16,6 +16,12 @@ unitary, without the N^3 cost).  `haar_columns` forms that isometry
 explicitly; the compression oracle never does.  The phase-fixed R is the
 conjugate transpose of the Cholesky factor L of the Gram G*G, so the
 isometry is G L^-*, and the compression is L^-1 (G* A G) L^-* with no Q.
+
+The oracle works in real arithmetic where it can.  It draws the panel as
+its real and imaginary parts stacked in one (2, N, d) array, forms each
+Hermitian Gram from two real syrks and one real gemm, writes G* A G as the
+Gram of the panel shifted by A's lowest eigenvalue and scaled in place, and
+forms only the lower triangle of the congruence, which `eigvalsh` reads.
 """
 
 from __future__ import annotations
@@ -115,6 +121,40 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram(panel: np.ndarray) -> np.ndarray:
+    """K*K for the n x d panel K = X + iY stacked as panel = (X, Y).
+
+    Re K*K = X^T X + Y^T Y takes two real syrks and Im K*K = X^T Y - (X^T Y)^T
+    one real gemm: half the multiply-adds of a complex gemm, with no copy of
+    the panel.
+    """
+    x, y = panel
+    out = np.empty((x.shape[1],) * 2, dtype=complex)
+    np.add(x.T @ x, y.T @ y, out=out.real)
+    xy = x.T @ y
+    np.subtract(xy, xy.T, out=out.imag)
+    return out
+
+
+def _lower_congruence(l_inv: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lower triangle of l_inv @ c @ l_inv^* for lower-triangular l_inv and
+    Hermitian c; the block above the diagonal blocks is left zero.
+
+    With l_inv = [[A, 0], [B, E]] and P = l_inv @ c, the lower triangle is
+    P[:, :h] A^* beside P[h:] [B, E]^*, so P is needed only in its first block
+    column and last block row: nine half-size gemms, against sixteen for the
+    full product.
+    """
+    h = c.shape[0] // 2
+    a, b, e = l_inv[:h, :h], l_inv[h:, :h], l_inv[h:, h:]
+    col = l_inv[:, :h] @ c[:h, :h]   # P[:, :h] = [A C11; B C11 + E C21]
+    col[h:] += e @ c[h:, :h]
+    out = np.zeros_like(c)
+    out[:, :h] = col @ a.conj().T
+    out[h:, h:] = col[h:] @ b.conj().T + (b @ c[:h, h:] + e @ c[h:, h:]) @ e.conj().T
+    return out
+
+
 def compressed_spectrum(spec: HermitianSpec, t: float, N: int, seed: int) -> CompressionSample:
     """Eigenvalues of the rescaled compression of the spec's diagonal model.
 
@@ -124,12 +164,22 @@ def compressed_spectrum(spec: HermitianSpec, t: float, N: int, seed: int) -> Com
 
     W = G L^-* for the N x d Ginibre panel G that `haar_columns` draws for
     (N, seed) and the Cholesky factor L of G*G, so the sample is the
-    spectrum of L^-1 (G* A G) L^-* / t, and no isometry is formed.  In
-    exact arithmetic this is the QR route's compression matrix itself.  In
-    floating point the Gram squares the panel's condition number kappa(G),
-    so eigenvalues move by about kappa(G)^2 * u * max|x_i| / t (u the unit
-    roundoff).  The tests hold that to 1e-12 * max|x_i| / t for t <= 0.9,
-    1e-10 * max|x_i| / t at t = 0.99, and 1e-9 * max|x_i| at t = 1,
+    spectrum of L^-1 (G* A G) L^-* / t, and no isometry is formed.  The
+    panel is drawn as K = sqrt(2) G in stacked real form (Re K, Im K): the
+    same two normal draws as `complex_normal`, without its 1/sqrt(2), which
+    cancels between L and G* A G.  Both Hermitian Grams are formed from real
+    products (`_gram`).  With c the lowest eigenvalue of A, G* A G / t is
+    G* (A - c) G / t + (c/t) G*G, so the sample is the spectrum of the Gram
+    of the panel with rows scaled by sqrt((x_i - c)/t), congruent by L^-1,
+    plus c/t; the rows at c are zero and are dropped.  Only the lower
+    triangle that `eigvalsh` reads is formed (`_lower_congruence`).
+
+    In exact arithmetic this is the QR route's compression matrix itself.
+    In floating point the Gram squares the panel's condition number
+    kappa(G), so eigenvalues move by about kappa(G)^2 * u * max|x_i - c| / t
+    plus u * |c| / t (u the unit roundoff), and the eigenvalues at c stay
+    within rounding of c/t.  The tests hold that to 1e-12 * max|x_i| / t for
+    t <= 0.9, 1e-10 * max|x_i| / t at t = 0.99, and 1e-9 * max|x_i| at t = 1,
     N = 2000, where the square panel's kappa(G) is largest.
     """
     if N < 100:
@@ -139,22 +189,21 @@ def compressed_spectrum(spec: HermitianSpec, t: float, N: int, seed: int) -> Com
     d = floor_fraction(t, N)
     if d == 0:
         raise DomainError("floor(t*N) vanished; increase t or N")
-    counts = apportion_counts(spec, N)
-    diag = np.repeat(spec.eigenvalues, counts)
-    g = complex_normal(stream(seed, STREAM_HAAR), (N, d))
-    gh = g.conj().T
+    diag = np.repeat(spec.eigenvalues, apportion_counts(spec, N))
+    panel = stream(seed, STREAM_HAAR).standard_normal((2, N, d))
     try:
-        chol = np.linalg.cholesky(gh @ g)
+        chol = np.linalg.cholesky(_gram(panel))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("random-matrix oracle: the Ginibre Gram G*G is not "
                                "positive definite in floating point") from exc
-    g *= (diag / t)[:, None]
-    compression = gh @ g   # G* A G / t
-    del g, gh              # free the N x d panels before the d x d stage
-    l_inv = _lower_inverse(chol)
-    # eigvalsh reads only the lower triangle, so no explicit symmetrization
-    eigs = np.linalg.eigvalsh(l_inv @ compression @ l_inv.conj().T)
-    return CompressionSample(N=N, t=float(t), seed=int(seed), eigenvalues=eigs)
+    shift = diag[0]
+    first = int(np.searchsorted(diag, shift, side="right"))
+    rows = panel[:, first:]
+    rows *= np.sqrt((diag[first:] - shift) / t)[:, None]
+    compression = _gram(rows)   # G* (A - c) G / t, up to the cancelling factor 2
+    del panel, rows             # free the N x d panel before the d x d stage
+    eigs = np.linalg.eigvalsh(_lower_congruence(_lower_inverse(chol), compression))
+    return CompressionSample(N=N, t=float(t), seed=int(seed), eigenvalues=eigs + shift / t)
 
 
 def ks_distance(sample: CompressionSample, result: FreePowerResult) -> float:

@@ -531,8 +531,10 @@ class TestStructuralInvariants:
         result = free_power(mu, T)
         kernel = result._kernel
         for lo, hi in result.bt_components:
-            us = rng.uniform(lo, hi, 12)
+            # bt_components are absolute; the kernel's curve is centred
+            us = rng.uniform(lo, hi, 12) - kernel.tau
             zs = kernel.curve_point(us)
+            assert np.all(zs.imag > 0.0)
             hs = kernel.h(zs)
             for i in range(len(zs)):
                 for j in range(i + 1, len(zs)):

@@ -14,7 +14,7 @@ from freecontract.rmt import (
     haar_unitary,
     ks_distance,
 )
-from freecontract.rng import stream
+from freecontract.rng import STREAM_HAAR, complex_normal, stream
 from freecontract.tnorm import tnorm_exact
 
 
@@ -126,6 +126,31 @@ class TestCholeskyRoute:
         want = np.sort(np.repeat(spec.eigenvalues, apportion_counts(spec, 2000)))
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(spec.eigenvalues))
 
+    @pytest.mark.parametrize("name", sorted(ROUTE_SPECS))
+    @pytest.mark.parametrize("N, t", [(100, 0.01), (1000, 0.101)])
+    def test_one_and_odd_d(self, name, N, t):
+        # d = 1 leaves the congruence's first block empty; d = 101 splits it unevenly
+        spec = ROUTE_SPECS[name]
+        got = compressed_spectrum(spec, t, N, seed=3).eigenvalues
+        assert got.size == floor_fraction(t, N)
+        scale = np.max(np.abs(spec.eigenvalues)) / t
+        assert np.max(np.abs(got - _qr_route(spec, t, N, 3))) <= 1e-12 * scale
+
+    def test_shift_falls_on_the_lowest_drawn_atom(self):
+        # the atom at -5 gets no slot at N = 100, so the shift is the atom at 0
+        spec = HermitianSpec(1000, np.array([-5.0, 0.0, 1.0]), np.array([1, 499, 500]))
+        assert list(apportion_counts(spec, 100)) == [0, 50, 50]
+        got = compressed_spectrum(spec, 0.5, 100, seed=3).eigenvalues
+        assert np.max(np.abs(got - _qr_route(spec, 0.5, 100, 3))) <= 1e-12 * 5.0 / 0.5
+
+    def test_negative_atom_eigenvalues_sit_at_the_shift(self):
+        # {-1 x3, 2}: the 750 rows at the shift are dropped, and 250 of the
+        # d = 500 eigenvalues are -1/t up to the rounding of the shift
+        spec = HermitianSpec(4, np.array([-1.0, 2.0]), np.array([3, 1]))
+        eigs = compressed_spectrum(spec, 0.5, 1000, seed=3).eigenvalues
+        assert np.max(np.abs(eigs[:250] + 1.0 / 0.5)) <= 1e-12 * 2.0 / 0.5
+        assert eigs[250] > -1.0 / 0.5 + 1e-3
+
     def test_atom_eigenvalues_stay_at_the_atom(self):
         # {0 x3, 1}: a rank-250 A compressed to d = 500 keeps 250 zeros
         spec = HermitianSpec(4, np.array([0.0, 1.0]), np.array([3, 1]))
@@ -148,6 +173,38 @@ class TestCholeskyRoute:
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(ConvergenceError, match="random-matrix oracle"):
             compressed_spectrum(bernoulli_spec, 0.25, 200, seed=1)
+
+
+class TestRealArithmetic:
+    # the oracle's Grams and congruence against the complex products they replace
+
+    @pytest.mark.parametrize("N, d, seed", [(100, 1, 0), (200, 50, 3), (1000, 101, 7)])
+    def test_stacked_draw_is_the_complex_normal_panel(self, N, d, seed):
+        # the panel the QR route orthonormalizes, part by part, up to 1/sqrt(2)
+        stacked = stream(seed, STREAM_HAAR).standard_normal((2, N, d)) * (1.0 / np.sqrt(2.0))
+        g = complex_normal(stream(seed, STREAM_HAAR), (N, d))
+        np.testing.assert_array_equal(stacked[0], g.real)
+        np.testing.assert_array_equal(stacked[1], g.imag)
+
+    @pytest.mark.parametrize("n, d", [(0, 5), (1, 5), (7, 1), (40, 13), (300, 64)])
+    def test_gram_is_the_complex_gram(self, n, d):
+        panel = stream(n + d, 0).standard_normal((2, n, d))
+        g = panel[0] + 1j * panel[1]
+        want = g.conj().T @ g
+        got = rmt._gram(panel)
+        np.testing.assert_array_equal(got, got.conj().T)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 65, 250])
+    def test_lower_congruence_is_the_lower_triangle(self, d):
+        rng = stream(d, 0)
+        l_inv = np.tril(complex_normal(rng, (d, d)))
+        c = complex_normal(rng, (d, d))
+        c = c + c.conj().T
+        want = np.tril(l_inv @ c @ l_inv.conj().T)
+        got = rmt._lower_congruence(l_inv, c)
+        assert np.max(np.abs(np.tril(got) - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(got[:d // 2, d // 2:])
 
 
 class TestKSDistance:
