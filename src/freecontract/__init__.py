@@ -22,15 +22,11 @@ from .errors import ConvergenceError, DomainError
 from .freepower import (
     FreePowerResult,
     atoms_of_power,
-    b_set,
-    density,
     f_height,
     free_power,
     h_transform,
     power_cauchy_pair,
     power_voiculescu,
-    subordination,
-    support_components,
     support_hull,
 )
 from .measures import (
@@ -56,7 +52,7 @@ from .qchannel import (
     random_channel,
     sample_output_spectra,
 )
-from .rmt import CompressionSample, compressed_spectrum, haar_unitary, ks_distance
+from .rmt import CompressionSample, compressed_spectrum, haar_columns, ks_distance
 from .tnorm import (
     TNormReport,
     default_probes,
@@ -89,20 +85,18 @@ __all__ = [
     "apply_complementary",
     "apply_conjugate_channel",
     "atoms_of_power",
-    "b_set",
     "bell_output",
     "binary_entropy",
     "cauchy_pair",
     "compressed_spectrum",
     "concentration_stat",
     "default_probes",
-    "density",
     "entropy",
     "f_height",
     "free_power",
     "gap_g",
     "h_transform",
-    "haar_unitary",
+    "haar_columns",
     "hastings_gap",
     "hmin_estimate",
     "kargin_bound",
@@ -120,10 +114,8 @@ __all__ = [
     "sample_output_spectra",
     "scan_violation",
     "simplex_bounds",
-    "subordination",
     "superconvergence_asymptote",
     "support_bounds",
-    "support_components",
     "support_hull",
     "taylor_lower_f",
     "tnorm_exact",

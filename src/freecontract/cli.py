@@ -3,7 +3,7 @@
 Every subcommand reads JSON inputs, computes its result fully, and only
 then writes the primary artifact (stdout unless --out is given), so failed
 runs never leave partial output files.  Exit codes: 0 success, 1 usage
-error, 2 domain/convergence error.  All randomness flows from --seed
+error, 2 domain, convergence or file error.  All randomness flows from --seed
 through fixed Philox streams (see :mod:`freecontract.rng`); re-running a
 command with identical flags produces byte-identical output.
 """
@@ -302,10 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(code) if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except (DomainError, ConvergenceError) as exc:
-        sys.stderr.write(f"freecontract: error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (DomainError, ConvergenceError, OSError) as exc:
         sys.stderr.write(f"freecontract: error: {exc}\n")
         return 2
     except json.JSONDecodeError as exc:

@@ -1,5 +1,8 @@
 """Fractional free additive convolution powers of atomic measures.
 
+Every quantity of a power is read from one `free_power(mu, T)` result,
+which builds rho and the component geometry once.
+
 For a probability measure mu with remainder measure rho (atoms b_j, weights
 c_j, see :mod:`freecontract.measures`) and a power T > 1, everything is
 driven by the rational function
@@ -69,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -119,14 +122,8 @@ class _PowerKernel:
 
     # -- pointwise building blocks -------------------------------------
 
-    def h(self, z: np.ndarray) -> np.ndarray:
-        """Centred map h(w) = w + (T-1)*sum_j c_j/(w - b_j)."""
-        T, beta, c = self.T, self.beta, self.c
-        return blockwise(lambda z: z + (T - 1.0) * (c / (z[:, None] - beta)).sum(axis=1),
-                         beta.size, np.asarray(z, dtype=complex))
-
     def h_and_prime(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(h, h') at centred points, both from one reciprocal 1/(w - b_j)."""
+        """Centred h(w) = w + (T-1)*sum_j c_j/(w - b_j) and h', from one reciprocal."""
         T, beta, c = self.T, self.beta, self.c
 
         def rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +253,7 @@ class _PowerKernel:
         u_lo, u_hi = edges[:k], edges[k:]
         if np.any(np.searchsorted(beta, u_hi) <= np.searchsorted(beta, u_lo, "right")):
             raise ConvergenceError("a located component contains no rho atom")
-        x = self.h(edges).real
+        x = self.h_and_prime(edges)[0].real
         return u_lo, u_hi, x[:k], x[k:]
 
     @cached_property
@@ -328,7 +325,7 @@ class _PowerKernel:
 @dataclass(frozen=True)
 class FreePowerResult:
     """Support decomposition of a fractional convolution power, a view over
-    its subordination kernel.
+    its subordination kernel: the one way in to every quantity of the power.
 
     `support_components` are the closed a.c. support intervals (adjacent
     intervals merged when their endpoints coincide within 1e-10), `atoms`
@@ -445,30 +442,10 @@ def h_transform(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex, compl
     return kernel.h_pair(z)
 
 
-def b_set(mu: AtomicMeasure, T: float) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
-    """Maximal open intervals of positive boundary height and the H' roots."""
-    bt = _bt_components(_PowerKernel(mu, T))
-    return bt, _boundary_roots(bt)
-
-
 def f_height(mu: AtomicMeasure, T: float, x: float) -> float:
     """Boundary height at x (0 outside the positive-height set)."""
     kernel = _PowerKernel(mu, T)
     return float(kernel.f_height(np.array([float(x) - kernel.tau]))[0])
-
-
-def support_components(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
-    """Closed a.c. support intervals of the T-th power (merged, sorted)."""
-    return free_power(mu, T).support_components
-
-
-def _bt_components(kernel: _PowerKernel) -> tuple[tuple[float, float], ...]:
-    u_lo, u_hi, _, _ = kernel.curves
-    return tuple(zip((u_lo + kernel.tau).tolist(), (u_hi + kernel.tau).tolist()))
-
-
-def _boundary_roots(bt: Sequence[tuple[float, float]]) -> tuple[float, ...]:
-    return tuple(sorted(e for c in bt for e in c))
 
 
 def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
@@ -481,16 +458,6 @@ def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ..
         for x, w in zip(mu.positions, mu.weights)
         if w > thr
     )
-
-
-def subordination(mu: AtomicMeasure, T: float, x: float) -> complex:
-    """Subordination point w with H(w) = x, Im w > 0, for x inside the a.c. support."""
-    return free_power(mu, T).subordination(float(x))
-
-
-def density(mu: AtomicMeasure, T: float, x) -> np.ndarray | float:
-    """Density of the a.c. part of the T-th power at x (0 outside)."""
-    return free_power(mu, T).density(x)
 
 
 def _open_upper(z: complex) -> complex:
@@ -554,12 +521,12 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
     kernel = None if T == 1.0 or mu.n_atoms == 1 else _PowerKernel(mu, T)
     comps = bt = ()
     if kernel is not None:
-        _, _, x_lo, x_hi = kernel.curves
+        u_lo, u_hi, x_lo, x_hi = kernel.curves
         first = kernel.starts
         comps = tuple(zip((x_lo[first] + kernel.shift).tolist(),
                           (x_hi[np.r_[first[1:], x_lo.size] - 1] + kernel.shift).tolist()))
-        bt = _bt_components(kernel)
-    roots = _boundary_roots(bt)
+        bt = tuple(zip((u_lo + kernel.tau).tolist(), (u_hi + kernel.tau).tolist()))
+    roots = tuple(sorted(e for c in bt for e in c))
     return FreePowerResult(
         T=float(T),
         support_components=comps,

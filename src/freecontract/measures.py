@@ -315,6 +315,13 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
+def _require_int(value, what: str) -> int:
+    count = int(value)
+    if count != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return count
+
+
 def measure_to_json(mu: AtomicMeasure) -> dict:
     return {"atoms": [{"x": float(x), "w": float(w)} for x, w in mu.atoms]}
 
@@ -324,7 +331,9 @@ def measure_from_json(obj: dict) -> AtomicMeasure:
         atoms = obj["atoms"]
         pairs = [(_require_finite(a["x"], "atom position"),
                   _require_finite(a["w"], "atom weight")) for a in atoms]
-    except (KeyError, TypeError) as exc:
+    except DomainError:   # a ValueError whose message is already the answer
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed measure JSON: {exc}") from exc
     return make_measure(pairs)
 
@@ -344,10 +353,12 @@ def spec_to_json(spec: HermitianSpec) -> dict:
 
 def spec_from_json(obj: dict) -> HermitianSpec:
     try:
-        k = int(obj["k"])
+        k = _require_int(obj["k"], "dimension k")
         xi = [_require_finite(e["xi"], "eigenvalue") for e in obj["eigs"]]
-        mult = [int(e["d"]) for e in obj["eigs"]]
-    except (KeyError, TypeError) as exc:
+        mult = [_require_int(e["d"], "multiplicity d") for e in obj["eigs"]]
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed spec JSON: {exc}") from exc
     return HermitianSpec(k, np.array(xi), np.array(mult, dtype=int))
 

@@ -37,15 +37,8 @@ from .measures import HermitianSpec
 from .rng import GENERATOR_NAME, STREAM_HAAR, complex_normal, stream
 
 
-def haar_unitary(N: int, seed: int) -> np.ndarray:
-    """Haar-distributed N x N unitary, deterministic in (N, seed)."""
-    if N < 1:
-        raise DomainError("need N >= 1")
-    return haar_columns(N, N, seed)
-
-
 def haar_columns(N: int, d: int, seed: int) -> np.ndarray:
-    """First d columns of a Haar unitary, drawn as an N x d isometry."""
+    """First d columns of a Haar unitary as an N x d isometry (d = N: the unitary)."""
     if not 1 <= d <= N:
         raise DomainError("need 1 <= d <= N")
     q, r = np.linalg.qr(complex_normal(stream(seed, STREAM_HAAR), (N, d)))

@@ -138,6 +138,37 @@ class TestLostMass:
         assert json.loads(out.read_text())["exact"] == 1000001.0
 
 
+class TestMalformedInputs:
+    # a wrong input exits 2 with one error line and writes nothing
+
+    @pytest.mark.parametrize("argv, text", [
+        (["tnorm", "--t", "0.5", "--spec"],
+         {"k": 2, "eigs": [{"xi": 0.0, "d": 1.7}, {"xi": 1.0, "d": 1.2}]}),
+        (["tnorm", "--t", "0.5", "--spec"],
+         {"k": 2.9, "eigs": [{"xi": 0.0, "d": 1}, {"xi": 1.0, "d": 1}]}),
+        (["tnorm", "--t", "0.5", "--spec"], {"k": 1, "eigs": [{"xi": "abc", "d": 1}]}),
+        (["power", "--T", "2", "--measure"], {"atoms": [{"x": "abc", "w": 1.0}]}),
+    ], ids=["fractional d", "fractional k", "non-numeric xi", "non-numeric x"])
+    def test_exit_2_with_an_error_line(self, argv, text, tmp_path, capsys):
+        path, out = tmp_path / "input.json", tmp_path / "never.json"
+        path.write_text(json.dumps(text))
+        assert main(argv + [str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("freecontract: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_naming_a_directory(self, bernoulli_spec_path, tmp_path, capsys):
+        out = tmp_path / "a_directory"
+        out.mkdir()
+        assert main(["tnorm", "--spec", bernoulli_spec_path, "--t", "0.5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("freecontract: error: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory",
+                                                              "bernoulli_spec.json"]
+
+
 class TestMeasureCommand:
     def test_rho_of_bernoulli(self, bernoulli_measure_path, tmp_path):
         out = tmp_path / "rho.json"

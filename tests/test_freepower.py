@@ -8,15 +8,11 @@ from conftest import random_measure, seeded
 from freecontract.errors import ConvergenceError, DomainError
 from freecontract.freepower import (
     atoms_of_power,
-    b_set,
-    density,
     f_height,
     free_power,
     h_transform,
     power_cauchy_pair,
     power_voiculescu,
-    subordination,
-    support_components,
     support_hull,
 )
 from freecontract.measures import (HermitianSpec, make_measure, moments, nevanlinna_rho,
@@ -51,27 +47,28 @@ class TestHTransform:
 
 class TestBSet:
     def test_bernoulli_T4(self, bernoulli):
-        comps, roots = b_set(bernoulli, 4.0)
+        result = free_power(bernoulli, 4.0)
+        comps, roots = result.bt_components, result.boundary_roots
         assert len(comps) == 1
         np.testing.assert_allclose(comps[0], (-SQRT3, SQRT3), atol=1e-12)
         np.testing.assert_allclose(roots, (-SQRT3, SQRT3), atol=1e-12)
 
     def test_bernoulli_T2(self, bernoulli):
-        comps, _ = b_set(bernoulli, 2.0)
+        comps = free_power(bernoulli, 2.0).bt_components
         np.testing.assert_allclose(comps[0], (-1.0, 1.0), atol=1e-12)
 
     def test_three_atoms_near_one_splits(self):
         mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
         from freecontract.measures import nevanlinna_rho
         rho = nevanlinna_rho(mu)
-        comps, _ = b_set(mu, 1.05)
+        comps = free_power(mu, 1.05).bt_components
         assert len(comps) == 2
         for (lo, hi), beta in zip(comps, rho.positions):
             assert lo < beta < hi
 
-    def test_point_mass_rejected(self):
-        with pytest.raises(DomainError):
-            b_set(make_measure([(1.0, 1.0)]), 2.0)
+    def test_point_mass_has_no_boundary_set(self):
+        result = free_power(make_measure([(1.0, 1.0)]), 2.0)
+        assert result.bt_components == () and result.boundary_roots == ()
 
 
 class TestFHeight:
@@ -142,23 +139,23 @@ class TestFHeightHardInputs:
 
 class TestSupportComponents:
     def test_bernoulli_T4(self, bernoulli):
-        comps = support_components(bernoulli, 4.0)
+        comps = free_power(bernoulli, 4.0).support_components
         assert len(comps) == 1
         np.testing.assert_allclose(comps[0], (-2 * SQRT3, 2 * SQRT3), atol=1e-9)
 
     def test_bernoulli_T2(self, bernoulli):
-        comps = support_components(bernoulli, 2.0)
+        comps = free_power(bernoulli, 2.0).support_components
         np.testing.assert_allclose(comps[0], (-2.0, 2.0), atol=1e-9)
 
     def test_point_mass_empty(self):
-        assert support_components(make_measure([(0.5, 1.0)]), 3.0) == ()
+        assert free_power(make_measure([(0.5, 1.0)]), 3.0).support_components == ()
 
     def test_shift_equivariance(self, bernoulli):
         # the two-point measure at {0, 2} is the symmetric one shifted by 1:
         # support edges move by T * shift
         mu = make_measure([(0.0, 0.5), (2.0, 0.5)])
         for T in (2.0, 4.0):
-            (lo, hi), = support_components(mu, T)
+            (lo, hi), = free_power(mu, T).support_components
             assert lo == pytest.approx(T - 2 * math.sqrt(T - 1), abs=1e-9)
             assert hi == pytest.approx(T + 2 * math.sqrt(T - 1), abs=1e-9)
 
@@ -169,8 +166,8 @@ class TestSupportComponents:
         base = [(0.0, 0.5), (1.0, 0.5)]
         mu_c = make_measure([(x + c, w) for x, w in base])
         for T in (1.5, 2.0, 4.0):
-            ref = support_components(make_measure(base), T)
-            got = support_components(mu_c, T)
+            ref = free_power(make_measure(base), T).support_components
+            got = free_power(mu_c, T).support_components
             assert len(got) == len(ref)
             for (lo, hi), (lo0, hi0) in zip(got, ref):
                 assert abs(lo - (lo0 + T * c)) <= 1e-14 * T * c
@@ -273,7 +270,7 @@ class TestManyComponents:
             omega = power.subordination(xs)
             assert np.all(omega.imag > 0.0)
             assert np.all((u_lo < omega.real) & (omega.real < u_hi))
-            back = kernel.h(omega - kernel.tau).real + kernel.shift
+            back = kernel.h_and_prime(omega - kernel.tau)[0].real + kernel.shift
             assert np.max(np.abs(back - xs)) <= 1e-9
             assert np.all(power.density(xs) > 0.0)
 
@@ -352,11 +349,11 @@ class TestAtoms:
 
 class TestSubordination:
     def test_bernoulli_T2_center(self, bernoulli):
-        omega = subordination(bernoulli, 2.0, 0.0)
+        omega = free_power(bernoulli, 2.0).subordination(0.0)
         assert omega == pytest.approx(1j, abs=1e-10)
 
     def test_bernoulli_T4_center(self, bernoulli):
-        omega = subordination(bernoulli, 4.0, 0.0)
+        omega = free_power(bernoulli, 4.0).subordination(0.0)
         assert omega == pytest.approx(1j * SQRT3, abs=1e-10)
 
     def test_residuals_on_random_measure(self):
@@ -373,7 +370,7 @@ class TestSubordination:
 
     def test_outside_support_rejected(self, bernoulli):
         with pytest.raises(DomainError):
-            subordination(bernoulli, 2.0, 5.0)
+            free_power(bernoulli, 2.0).subordination(5.0)
 
 
 class TestDensity:
@@ -381,15 +378,16 @@ class TestDensity:
         # the T = 2 power of the symmetric Bernoulli law is the arcsine law
         # with density 1/(pi*sqrt(4 - x^2)) on (-2, 2)
         xs = np.linspace(-1.9, 1.9, 41)
-        got = density(bernoulli, 2.0, xs)
+        got = free_power(bernoulli, 2.0).density(xs)
         expect = 1.0 / (math.pi * np.sqrt(4.0 - xs**2))
         np.testing.assert_allclose(got, expect, atol=1e-9)
 
     def test_center_value(self, bernoulli):
-        assert density(bernoulli, 2.0, 0.0) == pytest.approx(1 / (2 * math.pi), abs=1e-12)
+        assert free_power(bernoulli, 2.0).density(0.0) == pytest.approx(1 / (2 * math.pi),
+                                                                        abs=1e-12)
 
     def test_outside_support(self, bernoulli):
-        assert density(bernoulli, 2.0, 3.0) == 0.0
+        assert free_power(bernoulli, 2.0).density(3.0) == 0.0
 
     def test_nonnegative_and_edge_decay(self):
         rng = seeded(33, 5)
@@ -420,21 +418,16 @@ class TestFreePower:
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     @pytest.mark.parametrize("call", [
         lambda mu, T: h_transform(mu, T, 1j),
-        lambda mu, T: b_set(mu, T),
         lambda mu, T: f_height(mu, T, 0.0),
-        lambda mu, T: support_components(mu, T),
         lambda mu, T: atoms_of_power(mu, T),
-        lambda mu, T: subordination(mu, T, 0.0),
-        lambda mu, T: density(mu, T, 0.0),
         lambda mu, T: power_cauchy_pair(mu, T, 1j),
         lambda mu, T: power_voiculescu(mu, T, 10j),
         lambda mu, T: free_power(mu, T),
         lambda mu, T: support_hull(mu, T),
         lambda mu, T: support_bounds(HermitianSpec(2, np.array([-1.0, 1.0]),
                                                    np.array([1, 1])), T),
-    ], ids=["h_transform", "b_set", "f_height", "support_components", "atoms_of_power",
-            "subordination", "density", "power_cauchy_pair", "power_voiculescu",
-            "free_power", "support_hull", "support_bounds"])
+    ], ids=["h_transform", "f_height", "atoms_of_power", "power_cauchy_pair",
+            "power_voiculescu", "free_power", "support_hull", "support_bounds"])
     def test_non_finite_T_rejected(self, bernoulli, call, T):
         with pytest.raises(DomainError):
             call(bernoulli, T)
@@ -497,7 +490,7 @@ class TestStructuralInvariants:
             rng = seeded(77, trial)
             mu = random_measure(rng)
             for T in (1.5, 3.0):
-                comps = support_components(mu, T)
+                comps = free_power(mu, T).support_components
                 mean, var = moments(mu)
                 spread = 2.0 * math.sqrt(var) * math.sqrt(T - 1.0)
                 x1 = mu.positions[0] - spread + (T - 1) * mean
@@ -535,7 +528,7 @@ class TestStructuralInvariants:
             us = rng.uniform(lo, hi, 12) - kernel.tau
             zs = kernel.curve_point(us)
             assert np.all(zs.imag > 0.0)
-            hs = kernel.h(zs)
+            hs = kernel.h_and_prime(zs)[0]
             for i in range(len(zs)):
                 for j in range(i + 1, len(zs)):
                     lhs = abs(hs[i] - hs[j])
@@ -737,10 +730,10 @@ class TestLazyMasses:
         monkeypatch.setattr(freepower._PowerKernel.masses, "func", refuse)
         assert tnorm.tnorm_exact(bernoulli_spec, 0.25) == pytest.approx(SQRT3 / 2, abs=1e-9)
         tnorm.tnorm_report(bernoulli_spec, 0.5)
-        assert len(support_components(bernoulli, 4.0)) == 1
-        density(bernoulli, 2.0, np.array([-0.5, 0.0, 0.5]))
-        subordination(bernoulli, 2.0, 0.3)
-        b_set(bernoulli, 1.5)
+        assert len(free_power(bernoulli, 4.0).support_components) == 1
+        free_power(bernoulli, 2.0).density(np.array([-0.5, 0.0, 0.5]))
+        free_power(bernoulli, 2.0).subordination(0.3)
+        free_power(bernoulli, 1.5).bt_components
         tnorm.kkt_membership([0.5, 0.5], 0.5, tnorm.default_probes(2, count=3))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"k": 2, "eigs": [{"xi": -1.0, "d": 1}, {"xi": 1.0, "d": 1}]}')
@@ -769,6 +762,25 @@ class TestLazyMasses:
         assert calls == [result._kernel]
         free_power(mu, 1.05).ac_masses
         assert len(calls) == 2
+
+    def test_rho_built_once_per_result(self, monkeypatch):
+        from freecontract import freepower
+
+        calls = []
+        exact = freepower.nevanlinna_rho
+
+        def counting(mu):
+            calls.append(mu)
+            return exact(mu)
+
+        monkeypatch.setattr(freepower, "nevanlinna_rho", counting)
+        result = free_power(make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]), 1.05)
+        (lo, hi), _ = result.support_components
+        x = 0.5 * (lo + hi)
+        assert len(result.bt_components) == 2 and len(result.boundary_roots) == 4
+        assert result.density(x) > 0.0 and result.subordination(x).imag > 0.0
+        assert 0.0 < result.cdf(x) < 1.0 and len(result.ac_masses) == 2
+        assert len(calls) == 1
 
     def test_masses_need_no_height_and_no_subordination(self, monkeypatch):
         from freecontract import freepower

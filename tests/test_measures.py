@@ -238,3 +238,26 @@ class TestJsonInterchange:
     def test_spec_rejects_nan(self):
         with pytest.raises(DomainError):
             spec_from_json({"k": 1, "eigs": [{"xi": float("nan"), "d": 1}]})
+
+    @pytest.mark.parametrize("obj, message", [
+        # int() would read 1.7 as 1 and give {0, 1} with equal weights
+        ({"k": 2, "eigs": [{"xi": 0.0, "d": 1.7}, {"xi": 1.0, "d": 1.2}]},
+         "multiplicity d must be an integer"),
+        ({"k": 2.9, "eigs": [{"xi": 0.0, "d": 1}, {"xi": 1.0, "d": 1}]},
+         "dimension k must be an integer"),
+        ({"k": 1, "eigs": [{"xi": "abc", "d": 1}]}, "malformed spec JSON"),
+        ({"k": 1, "eigs": [{"xi": 0.0, "d": float("nan")}]}, "malformed spec JSON"),
+        ({"k": 1, "eigs": [{"xi": 0.0, "d": float("inf")}]}, "malformed spec JSON"),
+    ], ids=["fractional d", "fractional k", "non-numeric xi", "nan d", "inf d"])
+    def test_spec_rejects_malformed_values(self, obj, message):
+        with pytest.raises(DomainError, match=message):
+            spec_from_json(obj)
+
+    def test_spec_accepts_integer_valued_floats(self):
+        spec = spec_from_json({"k": 3.0, "eigs": [{"xi": 0.0, "d": 2.0}, {"xi": 1.0, "d": 1}]})
+        assert spec.k == 3
+        np.testing.assert_array_equal(spec.multiplicities, [2, 1])
+
+    def test_measure_rejects_a_non_numeric_position(self):
+        with pytest.raises(DomainError, match="malformed measure JSON"):
+            measure_from_json({"atoms": [{"x": "abc", "w": 1.0}]})

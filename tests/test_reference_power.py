@@ -7,7 +7,7 @@ import pytest
 
 from conftest import seeded
 from freecontract.errors import ConvergenceError, DomainError
-from freecontract.freepower import b_set, free_power, support_hull
+from freecontract.freepower import free_power, support_hull
 from freecontract.measures import make_measure, nevanlinna_rho
 from reference_power import ReferencePower, _solve
 
@@ -127,7 +127,7 @@ def test_split_decision_at_its_threshold(atoms):
     t_c = 1.0 + 1.0 / float(lowest)
     counts = []
     for T in (t_c * (1.0 - 1e-6), t_c * (1.0 + 1e-6)):
-        counts.append(len(b_set(mu, T)[0]))
+        counts.append(len(free_power(mu, T).bt_components))
         assert counts[-1] == len(ReferencePower(mu.atoms, T).u_edges) // 2, T
     assert counts == [2, 1]
 

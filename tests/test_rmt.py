@@ -11,7 +11,6 @@ from freecontract.rmt import (
     compressed_spectrum,
     floor_fraction,
     haar_columns,
-    haar_unitary,
     ks_distance,
 )
 from freecontract.rng import STREAM_HAAR, complex_normal, stream
@@ -20,22 +19,22 @@ from freecontract.tnorm import tnorm_exact
 
 class TestHaarUnitary:
     def test_scalar_case(self):
-        u = haar_unitary(1, seed=3)
+        u = haar_columns(1, 1, seed=3)
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_unitarity(self):
-        u = haar_unitary(64, seed=12)
+        u = haar_columns(64, 64, seed=12)
         assert np.max(np.abs(u @ u.conj().T - np.eye(64))) < 1e-10
 
     def test_determinism(self):
-        a = haar_unitary(16, seed=7)
-        b = haar_unitary(16, seed=7)
+        a = haar_columns(16, 16, seed=7)
+        b = haar_columns(16, 16, seed=7)
         np.testing.assert_array_equal(a, b)
 
     def test_seed_independence(self):
-        a = haar_unitary(16, seed=7)
-        b = haar_unitary(16, seed=8)
+        a = haar_columns(16, 16, seed=7)
+        b = haar_columns(16, 16, seed=8)
         assert np.max(np.abs(a - b)) > 1e-3
 
     def test_columns_are_isometry(self):

@@ -6,7 +6,7 @@ import pytest
 from conftest import seeded
 from freecontract import freepower, measures, rootfind
 from freecontract.errors import ConvergenceError
-from freecontract.freepower import _PowerKernel, b_set, free_power
+from freecontract.freepower import _PowerKernel, free_power
 from freecontract.measures import HermitianSpec, make_measure, nevanlinna_rho
 from freecontract.rootfind import BLOCK_ELEMENTS, MAX_STEPS, bisect, damped_newton
 
@@ -77,7 +77,8 @@ def test_large_m_rho_interlaces_and_edges_solve_psi_equal_s():
     assert np.max(np.abs(g) * gap) <= 1e-12
 
     T = 1.01
-    comps, roots = b_set(mu, T)
+    result = free_power(mu, T)
+    comps, roots = result.bt_components, result.boundary_roots
     assert len(comps) > 1
     kernel = _PowerKernel(mu, T)
     u = np.array(roots) - kernel.tau
