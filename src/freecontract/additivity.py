@@ -28,7 +28,7 @@ sqrt((1-t)/k))^2 with a = (k-1)/k has one, exact, subtraction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -162,9 +162,6 @@ class ViolationReport:
     single_lower: float
     violated: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def gap_g(k: int, r: float) -> ViolationReport:
     """g(k, r) = 2*(1-t)*log(k) + h(t) - 2*f(k, t) at t = k^-r."""
@@ -202,9 +199,6 @@ class ScanSummary:
     g_at_min: Optional[float]
     cells: int
     violations: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def k_grid(kmin: float, kmax: float, points: int) -> list[int]:

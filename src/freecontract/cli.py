@@ -1,21 +1,26 @@
 """Command-line front end.
 
-Every subcommand reads JSON inputs, computes its result fully, and only
-then writes the primary artifact (stdout unless --out is given), so failed
-runs never leave partial output files.  Exit codes: 0 success, 1 usage
-error, 2 domain, convergence or file error.  All randomness flows from --seed
-through fixed Philox streams (see :mod:`freecontract.rng`); re-running a
-command with identical flags produces byte-identical output.
+Every subcommand reads JSON inputs, computes its result fully and returns
+its artifacts as (path, text, fallback) triples.  The text goes to the path,
+or else to the fallback stream: stdout for the primary artifact, stderr for
+the rmt sidecar and the scan summary, none for the scan SVG.  `main` alone
+writes them, opening every path before writing any, so a failed run creates
+and changes no file.  Exit codes: 0 success, 1 usage error, 2 domain,
+convergence or file error.  All randomness flows from --seed through fixed
+Philox streams (see :mod:`freecontract.rng`); re-running a command with
+identical flags produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
-import io
 import json
+import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import additivity, freepower, measures, qchannel, rmt, tnorm
@@ -39,12 +44,37 @@ def _sha256_of(obj) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv_text(header, rows) -> str:
+    """CSV lines: "" for None, repr for a float and str otherwise."""
+    return "".join(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                            for v in row) + "\n" for row in [header, *rows])
+
+
+def _emit(artifacts) -> None:
+    """Write every artifact or none.  Each path is opened without truncation
+    before any is written; if an open fails, the files this run created are
+    removed and the error propagates."""
+    paths = [path for path, _, _ in artifacts if path]
+    if len(paths) > 1 and len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise DomainError("two outputs name the same path")
+    handles = []
+    with contextlib.ExitStack() as opened:
+        with contextlib.ExitStack() as undo:
+            for path in paths:
+                existed = os.path.lexists(path)
+                handles.append(opened.enter_context(open(path, "a", newline="")))
+                if not existed:
+                    undo.callback(os.remove, path)
+            undo.pop_all()
+        handles = iter(handles)
+        for path, text, fallback in artifacts:
+            if path:
+                fh = next(handles)
+                if os.path.isfile(path):   # not a device or a pipe
+                    fh.truncate(0)
+                fh.write(text)
+            elif fallback is not None:
+                fallback.write(text)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -56,72 +86,57 @@ def _meta(args) -> dict:
     return {"seed": args.seed, "generator": GENERATOR_NAME}
 
 
-def _write_json(obj: dict, args) -> None:
-    """Add the run's meta to obj and write it as the primary artifact."""
+def _json_out(obj: dict, args) -> tuple:
+    """obj with the run's meta, as the primary artifact."""
     obj["meta"] = _meta(args)
-    _write(_json_text(obj), args.out)
+    return args.out, _json_text(obj), sys.stdout
 
 
 # -- measure ----------------------------------------------------------------
 
 
-def _cmd_measure_rho(args) -> int:
+def _cmd_measure_rho(args) -> list:
     mu = measures.load_measure(args.measure)
     rho = measures.nevanlinna_rho(mu)
     obj = measures.measure_to_json(rho)
     obj["total_mass"] = rho.total_mass
-    _write_json(obj, args)
-    return 0
+    return [_json_out(obj, args)]
 
 
 # -- power --------------------------------------------------------------------
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args) -> list:
     mu = measures.load_measure(args.measure)
     result = freepower.free_power(mu, args.T)
-    _write_json(result.to_json(density_grid=args.density_grid), args)
-    return 0
+    return [_json_out(result.to_json(density_grid=args.density_grid), args)]
 
 
 # -- tnorm ---------------------------------------------------------------------
 
 
-def _cmd_tnorm(args) -> int:
+def _cmd_tnorm(args) -> list:
     spec = measures.load_spec(args.spec)
     report = tnorm.tnorm_report(spec, args.t, L=args.L, all_bounds=args.all_bounds)
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("t,exact,upper,lower,kargin,asymptote,atom_dominated\n")
-        row = report.csv_row()
-        buf.write(",".join("" if v is None else repr(v) if isinstance(v, float)
-                           else str(v) for v in row) + "\n")
-        _write(buf.getvalue(), args.out)
-    else:
-        _write_json(report.to_json(), args)
-    return 0
+    obj = report.to_json()
+    if args.format == "json":
+        return [_json_out(obj, args)]
+    del obj["upper_abs_atom"]
+    return [(args.out, _csv_text(obj, [obj.values()]), sys.stdout)]
 
 
 # -- rmt -------------------------------------------------------------------
 
 
-def _cmd_rmt(args) -> int:
+def _cmd_rmt(args) -> list:
     spec = measures.load_spec(args.spec)
     sample = rmt.compressed_spectrum(spec, args.t, args.N, args.seed)
-    buf = io.StringIO()
-    buf.write("N,t,seed,eigenvalue\n")
-    for eig in sample.eigenvalues:
-        buf.write(f"{sample.N},{sample.t!r},{sample.seed},{float(eig)!r}\n")
+    rows = ((sample.N, sample.t, sample.seed, eig) for eig in sample.eigenvalues.tolist())
     meta = sample.metadata()
     meta["spec_sha256"] = _sha256_of(measures.spec_to_json(spec))
     meta.update(_meta(args))
-    _write(buf.getvalue(), args.out)
-    if args.out:
-        with open(args.out + ".meta.json", "w") as fh:
-            fh.write(_json_text(meta))
-    else:
-        sys.stderr.write(_json_text(meta))
-    return 0
+    return [(args.out, _csv_text(("N", "t", "seed", "eigenvalue"), rows), sys.stdout),
+            (args.out and args.out + ".meta.json", _json_text(meta), sys.stderr)]
 
 
 # -- channel --------------------------------------------------------------
@@ -131,20 +146,15 @@ def _channel_of(args) -> qchannel.ChannelInstance:
     return qchannel.random_channel(args.k, args.n, args.t, args.seed)
 
 
-def _cmd_channel_sample(args) -> int:
+def _cmd_channel_sample(args) -> list:
     ch = _channel_of(args)
     spectra = qchannel.sample_output_spectra(ch, args.count, args.seed)
-    buf = io.StringIO()
     header = ["seed", "sample"] + [f"lambda_{i + 1}" for i in range(ch.k)]
-    buf.write(",".join(header) + "\n")
-    for idx, row in enumerate(spectra):
-        buf.write(",".join([str(args.seed), str(idx)]
-                           + [repr(float(v)) for v in row]) + "\n")
-    _write(buf.getvalue(), args.out)
-    return 0
+    rows = ([args.seed, idx] + row for idx, row in enumerate(spectra.tolist()))
+    return [(args.out, _csv_text(header, rows), sys.stdout)]
 
 
-def _cmd_channel_bell(args) -> int:
+def _cmd_channel_bell(args) -> list:
     ch = _channel_of(args)
     out = qchannel.bell_output(ch)
     lam_max = float(out.eigenvalues()[-1])
@@ -154,55 +164,40 @@ def _cmd_channel_bell(args) -> int:
         "entropy": qchannel.entropy(out),
         "product_bound": additivity.product_bound(ch.k, ch.t_effective),
     })
-    _write_json(obj, args)
-    return 0
+    return [_json_out(obj, args)]
 
 
-def _cmd_channel_concentration(args) -> int:
+def _cmd_channel_concentration(args) -> list:
     ch = _channel_of(args)
     stat = qchannel.concentration_stat(ch, args.count, args.seed)
     obj = qchannel.metadata(ch)
-    obj.update(stat.to_json())
+    obj.update(asdict(stat))
     obj["count"] = args.count
-    _write_json(obj, args)
-    return 0
+    return [_json_out(obj, args)]
 
 
-def _cmd_channel_hmin(args) -> int:
+def _cmd_channel_hmin(args) -> list:
     ch = _channel_of(args)
     estimate = qchannel.hmin_estimate(ch, args.restarts, args.seed)
     obj = qchannel.metadata(ch)
     obj.update({"hmin_estimate": estimate, "restarts": args.restarts})
-    _write_json(obj, args)
-    return 0
+    return [_json_out(obj, args)]
 
 
 # -- violation ----------------------------------------------------------------
 
 
-def _cmd_violation_eval(args) -> int:
-    _write_json(additivity.gap_g(args.k, args.r).to_json(), args)
-    return 0
+def _cmd_violation_eval(args) -> list:
+    return [_json_out(asdict(additivity.gap_g(args.k, args.r)), args)]
 
 
-def _cmd_violation_scan(args) -> int:
+def _cmd_violation_scan(args) -> list:
     ks = additivity.k_grid(args.kmin, args.kmax, args.kpoints)
     rs = additivity.r_grid(args.rmin, args.rmax, args.rstep)
     grid, summary = additivity.scan_violation(ks, rs)
-    csv_text = additivity.scan_csv_text(grid)
-    svg_text = additivity.contour_svg(grid) if args.svg else None
-    summary_obj = summary.to_json()
-    summary_obj["meta"] = _meta(args)
-    _write(csv_text, args.out)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(_json_text(summary_obj))
-    else:
-        sys.stderr.write(_json_text(summary_obj))
-    if svg_text is not None:
-        with open(args.svg, "w") as fh:
-            fh.write(svg_text)
-    return 0
+    return [(args.out, additivity.scan_csv_text(grid), sys.stdout),
+            (args.summary, _json_text({**asdict(summary), "meta": _meta(args)}), sys.stderr),
+            (args.svg, additivity.contour_svg(grid) if args.svg else None, None)]
 
 
 # -- parser ---------------------------------------------------------------
@@ -301,7 +296,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else 0
     try:
-        return args.func(args)
+        _emit(args.func(args))
+        return 0
     except (DomainError, ConvergenceError, OSError) as exc:
         sys.stderr.write(f"freecontract: error: {exc}\n")
         return 2

@@ -355,12 +355,12 @@ def spec_from_json(obj: dict) -> HermitianSpec:
     try:
         k = _require_int(obj["k"], "dimension k")
         xi = [_require_finite(e["xi"], "eigenvalue") for e in obj["eigs"]]
-        mult = [_require_int(e["d"], "multiplicity d") for e in obj["eigs"]]
+        mult = np.array([_require_int(e["d"], "multiplicity d") for e in obj["eigs"]], int)
     except DomainError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed spec JSON: {exc}") from exc
-    return HermitianSpec(k, np.array(xi), np.array(mult, dtype=int))
+    return HermitianSpec(k, np.array(xi), mult)
 
 
 def load_spec(path: str) -> HermitianSpec:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
@@ -115,11 +115,7 @@ def random_channel(k: int, n: int, t: float, seed: int) -> ChannelInstance:
     """Channel from the first floor(t*k*n) columns of a Haar unitary on C^(kn)."""
     if k < 1 or n < 1:
         raise DomainError("need k >= 1 and n >= 1")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("t must lie in (0, 1]")
     d = floor_fraction(t, k * n)
-    if d == 0:
-        raise DomainError("floor(t*k*n) vanished; increase t, k or n")
     return ChannelInstance(k=k, n=n, t=float(t), d=d,
                            V=haar_columns(k * n, d, seed), seed=int(seed))
 
@@ -233,9 +229,6 @@ class ConcentrationStat:
     max_l2: float
     bound: float
     regime_ok: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def concentration_stat(ch: ChannelInstance, count: int, seed: int) -> ConcentrationStat:

@@ -48,11 +48,16 @@ def haar_columns(N: int, d: int, seed: int) -> np.ndarray:
 
 
 def floor_fraction(t: float, N: int) -> int:
-    """floor(t*N) with a 1e-9 guard against binary representation of t."""
+    """floor(t*N) for t in (0, 1], with a 1e-9 guard against binary
+    representation of t; a DomainError if t is outside or the floor is 0."""
+    if not 0.0 < t <= 1.0:
+        raise DomainError("t must lie in (0, 1]")
     tn = t * N
     d = math.floor(tn)
     if tn - d > 1.0 - 1e-9:
         d += 1
+    if d == 0:
+        raise DomainError(f"floor(t*{N}) vanished; increase t or the dimension")
     return d
 
 
@@ -177,11 +182,7 @@ def compressed_spectrum(spec: HermitianSpec, t: float, N: int, seed: int) -> Com
     """
     if N < 100:
         raise DomainError("need N >= 100 for a meaningful compression")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("t must lie in (0, 1]")
     d = floor_fraction(t, N)
-    if d == 0:
-        raise DomainError("floor(t*N) vanished; increase t or N")
     diag = np.repeat(spec.eigenvalues, apportion_counts(spec, N))
     panel = stream(seed, STREAM_HAAR).standard_normal((2, N, d))
     try:

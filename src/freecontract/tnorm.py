@@ -153,10 +153,6 @@ class TNormReport:
             "upper_abs_atom": self.upper_abs_atom,
         }
 
-    def csv_row(self) -> list:
-        return [self.t, self.exact, self.upper_thm, self.lower_thm,
-                self.kargin, self.asymptote, self.atom_dominated]
-
 
 def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
                  all_bounds: bool = True) -> TNormReport:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -148,7 +149,8 @@ class TestMalformedInputs:
          {"k": 2.9, "eigs": [{"xi": 0.0, "d": 1}, {"xi": 1.0, "d": 1}]}),
         (["tnorm", "--t", "0.5", "--spec"], {"k": 1, "eigs": [{"xi": "abc", "d": 1}]}),
         (["power", "--T", "2", "--measure"], {"atoms": [{"x": "abc", "w": 1.0}]}),
-    ], ids=["fractional d", "fractional k", "non-numeric xi", "non-numeric x"])
+        (["tnorm", "--t", "0.5", "--spec"], {"k": 1, "eigs": [{"xi": 0.0, "d": 10**20}]}),
+    ], ids=["fractional d", "fractional k", "non-numeric xi", "non-numeric x", "huge d"])
     def test_exit_2_with_an_error_line(self, argv, text, tmp_path, capsys):
         path, out = tmp_path / "input.json", tmp_path / "never.json"
         path.write_text(json.dumps(text))
@@ -167,6 +169,66 @@ class TestMalformedInputs:
         assert list(out.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory",
                                                               "bernoulli_spec.json"]
+
+
+class TestAllOrNothingOutput:
+    # every output path is opened before any is written: a run that fails
+    # on one of them creates and changes no file
+
+    SCAN = ["violation", "scan", "--kmin", "25000", "--kmax", "40000", "--kpoints", "12",
+            "--rmin", "1.36", "--rmax", "1.41", "--rstep", "0.005"]
+
+    @staticmethod
+    def _fails_with_one_error_line(argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("freecontract: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--summary", "--svg"])
+    def test_scan_with_a_directory_output_creates_no_csv(self, flag, tmp_path, capsys):
+        out, bad = tmp_path / "scan.csv", tmp_path / "a_directory"
+        bad.mkdir()
+        self._fails_with_one_error_line(self.SCAN + ["--out", str(out), flag, str(bad)],
+                                        capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+        assert list(bad.iterdir()) == []
+
+    def test_rmt_with_a_directory_sidecar_creates_no_csv(self, bernoulli_spec_path,
+                                                          tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.meta.json").mkdir()
+        self._fails_with_one_error_line(["rmt", "--spec", bernoulli_spec_path, "--t", "0.25",
+                                         "--N", "200", "--out", str(out)], capsys)
+        assert not out.exists()
+
+    def test_existing_out_file_is_left_as_it_was(self, bernoulli_spec_path, tmp_path,
+                                                 capsys):
+        out = tmp_path / "x.csv"
+        out.write_text("old")
+        stamp = out.stat().st_mtime_ns
+        (tmp_path / "x.csv.meta.json").mkdir()
+        self._fails_with_one_error_line(["rmt", "--spec", bernoulli_spec_path, "--t", "0.25",
+                                         "--N", "200", "--out", str(out)], capsys)
+        self._fails_with_one_error_line(self.SCAN + ["--out", str(out), "--summary",
+                                                     str(tmp_path)], capsys)
+        assert out.read_text() == "old" and out.stat().st_mtime_ns == stamp
+
+    def test_two_outputs_on_one_path(self, tmp_path, capsys):
+        path = tmp_path / "p"
+        self._fails_with_one_error_line(self.SCAN + ["--out", str(path), "--summary",
+                                                     os.path.join(tmp_path, ".", "p")], capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_replaces_an_existing_file(self, bernoulli_spec_path, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("x" * 100000)
+        assert main(["tnorm", "--spec", bernoulli_spec_path, "--t", "0.25",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["t"] == 0.25
+
+    def test_out_to_a_device(self, bernoulli_spec_path):
+        assert main(["tnorm", "--spec", bernoulli_spec_path, "--t", "0.25",
+                     "--out", os.devnull]) == 0
 
 
 class TestMeasureCommand:

@@ -248,7 +248,8 @@ class TestJsonInterchange:
         ({"k": 1, "eigs": [{"xi": "abc", "d": 1}]}, "malformed spec JSON"),
         ({"k": 1, "eigs": [{"xi": 0.0, "d": float("nan")}]}, "malformed spec JSON"),
         ({"k": 1, "eigs": [{"xi": 0.0, "d": float("inf")}]}, "malformed spec JSON"),
-    ], ids=["fractional d", "fractional k", "non-numeric xi", "nan d", "inf d"])
+        ({"k": 1, "eigs": [{"xi": 0.0, "d": 10**20}]}, "malformed spec JSON"),
+    ], ids=["fractional d", "fractional k", "non-numeric xi", "nan d", "inf d", "huge d"])
     def test_spec_rejects_malformed_values(self, obj, message):
         with pytest.raises(DomainError, match=message):
             spec_from_json(obj)
