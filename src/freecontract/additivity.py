@@ -203,8 +203,8 @@ class ScanSummary:
 
 def k_grid(kmin: float, kmax: float, points: int) -> list[int]:
     """Log-spaced integer grid (deduplicated, ascending)."""
-    if not (2 <= kmin <= kmax) or points < 1:
-        raise DomainError("need 2 <= kmin <= kmax and points >= 1")
+    if not (2 <= kmin <= kmax <= 2**53) or points < 1:
+        raise DomainError("need 2 <= kmin <= kmax <= 2**53 and points >= 1")
     if points == 1 or kmin == kmax:
         return [int(round(kmin))]
     ks = np.unique(np.rint(np.geomspace(kmin, kmax, points)).astype(int))
@@ -213,7 +213,7 @@ def k_grid(kmin: float, kmax: float, points: int) -> list[int]:
 
 def r_grid(rmin: float, rmax: float, rstep: float) -> list[float]:
     """Arithmetic grid on [rmin, rmax) (right endpoint excluded)."""
-    if not (1.0 <= rmin < rmax <= 2.0) or rstep <= 0:
+    if not (1.0 <= rmin < rmax <= 2.0 and rstep > 0):
         raise DomainError("need 1 <= rmin < rmax <= 2 and rstep > 0")
     count = int(math.ceil((rmax - rmin) / rstep - 1e-12))
     return [rmin + j * rstep for j in range(count) if rmin + j * rstep < rmax]

@@ -36,8 +36,8 @@ The support geometry is four arrays, the edges u_lo, u_hi of the k maximal
 intervals of B in order and the edges x_lo, x_hi of their images, and every
 reader indexes them: a point finds its component by one search against the
 image edges, and subordination solves all points in one bracketed Newton
-pass with per-point brackets.  Components whose images touch merge into
-one support interval, with their masses summed.
+pass with per-point brackets.  Each interval of B is one support
+component, however close its image comes to the next one.
 
 The power's distribution needs no quadrature.  With F = 1/G,
 H(omega) = T*omega - (T-1)*F(omega), so G*H' = T*G - (T-1)*F'/F is the
@@ -82,7 +82,6 @@ from .measures import (NEWTON_TOL, AtomicMeasure, _f_pair, cauchy_pair, moments,
 from .rootfind import NEWTON_ULPS, bisect, blockwise, damped_newton
 
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
-_COMPONENT_MERGE_TOL = 1e-10
 # Newton steps of the two monotone rises, a boundary height and a support
 # edge.  While a nearby light rho atom dominates S, each height step about
 # doubles y, for up to ~53 steps when the other atoms alone sit at the
@@ -96,9 +95,9 @@ class _PowerKernel:
     """Subordination data for one (mu, T > 1) pair, built in cached layers.
 
     Construction computes only the moments and rho; the component geometry
-    (`curves`, four edge arrays, and `starts`, where each merged support
-    component begins) is located on first use, and the a.c. masses
-    (`masses`, one per curve) are counted from the atoms on first read.
+    (`curves`, four edge arrays with one row per support component) is
+    located on first use, and the a.c. masses (`masses`, one per curve) are
+    counted from the atoms on first read.
 
     Everything is held in coordinates centred at the mean tau of mu: the
     atoms `xs` of mu, the rho atoms `beta`, the curve points w, and on the
@@ -256,14 +255,6 @@ class _PowerKernel:
         x = self.h_and_prime(edges)[0].real
         return u_lo, u_hi, x[:k], x[k:]
 
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """Index of the first curve of each support component: a curve joins
-        the previous component when its image starts within 1e-10 of where
-        that one ends."""
-        _, _, x_lo, x_hi = self.curves
-        return np.flatnonzero(np.r_[True, x_lo[1:] - x_hi[:-1] > _COMPONENT_MERGE_TOL])
-
     # -- closed forms ------------------------------------------------------
 
     @cached_property
@@ -327,11 +318,12 @@ class FreePowerResult:
     """Support decomposition of a fractional convolution power, a view over
     its subordination kernel: the one way in to every quantity of the power.
 
-    `support_components` are the closed a.c. support intervals (adjacent
-    intervals merged when their endpoints coincide within 1e-10), `atoms`
+    `support_components` are the closed a.c. support intervals, `atoms`
     the surviving point masses, `bt_components` the open intervals where
     the boundary height is positive, and `boundary_roots` the real critical
-    points of H (the endpoints of those intervals).  `x3`/`x4` are the
+    points of H (the endpoints of those intervals).  Each curve is one
+    component: the i-th support interval is the image of the i-th
+    bt_component and carries the i-th a.c. mass.  `x3`/`x4` are the
     rightmost support edge and rightmost critical point (None when there
     is no a.c. part).  The a.c. masses are sums of weights of mu, counted
     and checked on first read; `density` and `cdf` are closed forms at the
@@ -352,8 +344,7 @@ class FreePowerResult:
         """Absolutely continuous mass of each support component; raises
         ConvergenceError unless atomic plus a.c. mass is 1 within 1e-6."""
         kernel = self._kernel
-        masses = () if kernel is None else tuple(
-            np.add.reduceat(kernel.masses, kernel.starts).tolist())
+        masses = () if kernel is None else tuple(kernel.masses.tolist())
         ac, atomic = sum(masses), self.atomic_mass
         if not abs(ac + atomic - 1.0) <= _MASS_TOL:   # a NaN mass fails too
             raise ConvergenceError(f"mass conservation violated: a.c. {ac:.9f} + "
@@ -410,6 +401,8 @@ class FreePowerResult:
         return float(out[0]) if scalar else out
 
     def to_json(self, density_grid: int = 0) -> dict:
+        if density_grid < 0:
+            raise DomainError("density_grid must be >= 0")
         obj = {
             "T": self.T,
             "support_components": [[a, b] for a, b in self.support_components],
@@ -522,11 +515,9 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
     comps = bt = ()
     if kernel is not None:
         u_lo, u_hi, x_lo, x_hi = kernel.curves
-        first = kernel.starts
-        comps = tuple(zip((x_lo[first] + kernel.shift).tolist(),
-                          (x_hi[np.r_[first[1:], x_lo.size] - 1] + kernel.shift).tolist()))
+        comps = tuple(zip((x_lo + kernel.shift).tolist(), (x_hi + kernel.shift).tolist()))
         bt = tuple(zip((u_lo + kernel.tau).tolist(), (u_hi + kernel.tau).tolist()))
-    roots = tuple(sorted(e for c in bt for e in c))
+    roots = tuple(e for c in bt for e in c)
     return FreePowerResult(
         T=float(T),
         support_components=comps,

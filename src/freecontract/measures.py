@@ -188,7 +188,7 @@ def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
                           "a zero of G lies within rounding of it")
     cs = 1.0 / blockwise(lambda b: (ws / (b[:, None] - xs) ** 2).sum(axis=1),
                          xs.size, betas)
-    if abs(float(cs.sum()) - variance) > 1e-10 * max(1.0, variance):
+    if not abs(float(cs.sum()) - variance) <= 1e-10 * variance:   # NaN fails too
         raise ConvergenceError("rho mass does not match the variance")
     return AtomicMeasure(betas + mean, cs, float(cs.sum()))
 

@@ -101,8 +101,8 @@ def lower_bound(spec: HermitianSpec, t: float, L: float) -> float:
     t = _check_t(t)
     if spec.lminus < 0.0:
         raise DomainError("the lower bound requires a nonnegative element")
-    if L < spec.lplus:
-        raise DomainError("L must dominate the largest eigenvalue")
+    if not spec.lplus <= L < math.inf:
+        raise DomainError("L must be finite and dominate the largest eigenvalue")
     tau, sigma = spec.mean, spec.sigma
     root = sigma * math.sqrt(1.0 / t - 1.0)
     eps = root / (L + root) if root > 0.0 else 0.0

@@ -198,6 +198,17 @@ class TestScan:
         assert rs[0] == 1.0 and rs[-1] < 2.0
         assert HEADLINE_R == pytest.approx(rs[387], abs=1e-12)
 
+    @pytest.mark.parametrize("kmax", [math.inf, 1e30])
+    def test_k_grid_rejects_kmax_past_2_53(self, kmax):
+        # an infinite kmax gave a 1-point grid; 1e30 dropped the points
+        # that overflow int64
+        with pytest.raises(DomainError):
+            k_grid(1e4, kmax, 10)
+
+    def test_r_grid_rejects_a_nan_step(self):
+        with pytest.raises(DomainError):
+            r_grid(1.0, 2.0, math.nan)
+
 
 class TestContour:
     def test_segments_track_zero_level(self):

@@ -159,6 +159,26 @@ class TestMalformedInputs:
         assert err.startswith("freecontract: error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["power", "--measure", "MEASURE", "--T", "2", "--density-grid", "-5"],
+        ["violation", "scan", "--kmin", "1e4", "--kmax", "1e5", "--rstep", "nan"],
+        ["violation", "scan", "--kmin", "1e4", "--kmax", "inf", "--kpoints", "3"],
+        ["violation", "scan", "--kmin", "1e4", "--kmax", "1e30", "--kpoints", "3",
+         "--rstep", "0.1"],
+        ["tnorm", "--spec", "SPEC", "--t", "0.5", "--all-bounds", "--L", "nan"],
+        ["tnorm", "--spec", "SPEC", "--t", "0.5", "--all-bounds", "--L", "inf"],
+    ], ids=["negative density grid", "nan rstep", "infinite kmax", "kmax past 2**53",
+            "nan L", "infinite L"])
+    def test_bad_flag_exits_2(self, argv, bernoulli_measure_path, tmp_path, capsys):
+        spec = tmp_path / "nonneg_spec.json"
+        spec.write_text(json.dumps({"k": 2, "eigs": [{"xi": 0.0, "d": 1}, {"xi": 2.0, "d": 1}]}))
+        out = tmp_path / "never.out"
+        argv = [{"MEASURE": bernoulli_measure_path, "SPEC": str(spec)}.get(a, a) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("freecontract: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_out_naming_a_directory(self, bernoulli_spec_path, tmp_path, capsys):
         out = tmp_path / "a_directory"
         out.mkdir()

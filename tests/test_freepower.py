@@ -199,6 +199,43 @@ class TestSupportComponents:
             assert abs(total - 1.0) <= 1e-6
 
 
+class TestOneComponentPerCurve:
+    # each interval of B is one support component, with its own mass: no
+    # absolute tolerance joins two, so the geometry scales with the measure
+
+    def test_scale_covariance(self):
+        # powers of two scale every operation exactly; below ~1e-12
+        # make_measure would merge the atoms themselves
+        base = [(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]
+        ref = free_power(make_measure(base), 1.05)
+        assert len(ref.support_components) == 2
+        for s in (2.0**-36, 2.0**-30, 2.0**30):
+            got = free_power(make_measure([(s * x, w) for x, w in base]), 1.05)
+            assert got.support_components == tuple(
+                (s * lo, s * hi) for lo, hi in ref.support_components)
+            assert got.bt_components == tuple(
+                (s * lo, s * hi) for lo, hi in ref.bt_components)
+            assert got.ac_masses == ref.ac_masses
+
+    def test_components_that_nearly_touch_stay_apart(self):
+        # just below the split threshold T = 1.5 the two images are
+        # 7.3e-14 apart; each keeps half of the mass the three ~1e-9 atoms
+        # leave
+        mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
+        T = 1.5 * (1.0 - 1e-9)
+        result = free_power(mu, T)
+        (lo0, hi0), (lo1, hi1) = result.support_components
+        assert hi0 <= lo1 <= hi0 + 1e-12
+        assert (lo0, hi1) == pytest.approx(support_hull(mu, T), rel=1e-12, abs=1e-15)
+        m0, m1 = result.ac_masses
+        assert m0 == pytest.approx(m1, abs=1e-12)
+        assert m0 + m1 + result.atomic_mass == pytest.approx(1.0, abs=1e-12)
+        # the middle atom T*1 lies in the gap
+        below = sum(m for x, m in result.atoms if x <= lo1)
+        assert result.cdf(lo1) == pytest.approx(m0 + below, abs=1e-12)
+        assert len(result.bt_components) == 2
+
+
 class TestArcsineCdf:
     # the T = 2 power of the symmetric Bernoulli law is the arcsine law on
     # [-2, 2]; the component edges sit on the atoms of mu, where the CDF
@@ -406,6 +443,10 @@ class TestDensity:
 
 
 class TestFreePower:
+    def test_negative_density_grid_rejected(self, bernoulli):
+        with pytest.raises(DomainError, match="density_grid"):
+            free_power(bernoulli, 2.0).to_json(density_grid=-5)
+
     def test_identity_at_T1(self, bernoulli):
         result = free_power(bernoulli, 1.0)
         assert result.support_components == ()

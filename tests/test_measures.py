@@ -157,6 +157,19 @@ class TestNevanlinnaRho:
         with pytest.raises(DomainError, match=r"atom at x = 1\.0 of weight 1e-20"):
             nevanlinna_rho(mu)
 
+    def test_variance_check_is_relative(self):
+        # eight measures of the light-atom family (m = 64, Dirichlet(0.1)
+        # weights) have a rho whose mass misses the variance; scaled by
+        # 2^-20 the variance is ~1e-12 and the miss must still be refused
+        rng = np.random.default_rng(5)
+        family = [(np.sort(rng.normal(size=64)), rng.dirichlet(np.full(64, 0.1)))
+                  for _ in range(200)]
+        for i in (6, 15, 51, 52, 71, 125, 135, 184):
+            xs, w = family[i]
+            for scale in (1.0, 2.0**-20):
+                with pytest.raises(ConvergenceError, match="variance"):
+                    nevanlinna_rho(make_measure(zip(xs * scale, w)))
+
     def test_mass_equals_variance_sweep(self):
         for trial in range(100):
             rng = seeded(7, trial)

@@ -57,8 +57,11 @@ class TestApportionment:
 
     def test_floor_fraction_guard(self):
         assert floor_fraction(0.25, 2000) == 500
-        assert floor_fraction(0.3, 1000) == 300   # 0.3*1000 = 299.999... in binary
+        assert floor_fraction(0.3, 1000) == 300
         assert floor_fraction(0.1, 250) == 25
+        # 0.29*100 = 28.999999999999996 and 0.57*100 = 56.99999999999999 in binary
+        assert floor_fraction(0.29, 100) == 29
+        assert floor_fraction(0.57, 100) == 57
 
 
 class TestCompressedSpectrum:

@@ -110,6 +110,11 @@ class TestLowerBound:
         with pytest.raises(DomainError):
             lower_bound(shifted_spec, 0.25, L=1.5)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf])
+    def test_requires_finite_L(self, shifted_spec, L):
+        with pytest.raises(DomainError):
+            lower_bound(shifted_spec, 0.25, L=L)
+
     def test_sandwich_sweep(self):
         for trial in range(150):
             rng = seeded(2024, trial)
