@@ -118,7 +118,7 @@ def _cmd_power(args) -> list:
 def _cmd_tnorm(args) -> list:
     spec = measures.load_spec(args.spec)
     report = tnorm.tnorm_report(spec, args.t, L=args.L, all_bounds=args.all_bounds)
-    obj = report.to_json()
+    obj = dict(vars(report))   # a copy: the CSV drops a column
     if args.format == "json":
         return [_json_out(obj, args)]
     del obj["upper_abs_atom"]

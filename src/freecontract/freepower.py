@@ -1,7 +1,7 @@
 """Fractional free additive convolution powers of atomic measures.
 
 Every quantity of a power is read from one `free_power(mu, T)` result,
-which builds rho and the component geometry once.
+which builds rho and the component geometry and checks the masses once.
 
 For a probability measure mu with remainder measure rho (atoms b_j, weights
 c_j, see :mod:`freecontract.measures`) and a power T > 1, everything is
@@ -97,7 +97,7 @@ class _PowerKernel:
     Construction computes only the moments and rho; the component geometry
     (`curves`, four edge arrays with one row per support component) is
     located on first use, and the a.c. masses (`masses`, one per curve) are
-    counted from the atoms on first read.
+    counted from the atoms when `free_power` builds its result.
 
     Everything is held in coordinates centred at the mean tau of mu: the
     atoms `xs` of mu, the rho atoms `beta`, the curve points w, and on the
@@ -115,7 +115,7 @@ class _PowerKernel:
         self.tau, self.var = moments(mu)
         self.shift = self.T * self.tau
         self.xs, self.weights = mu.positions - self.tau, mu.weights
-        rho = nevanlinna_rho(AtomicMeasure(self.xs, self.weights, mu.total_mass))
+        rho = nevanlinna_rho(AtomicMeasure(self.xs, self.weights))
         self.beta, self.c = rho.positions, rho.weights
         self.s = 1.0 / (self.T - 1.0)
 
@@ -325,8 +325,8 @@ class FreePowerResult:
     component: the i-th support interval is the image of the i-th
     bt_component and carries the i-th a.c. mass.  `x3`/`x4` are the
     rightmost support edge and rightmost critical point (None when there
-    is no a.c. part).  The a.c. masses are sums of weights of mu, counted
-    and checked on first read; `density` and `cdf` are closed forms at the
+    is no a.c. part).  `ac_masses` are sums of weights of mu, counted and
+    checked by `free_power`; `density` and `cdf` are closed forms at the
     subordination point, which a point inside a component solves for.
     """
 
@@ -337,19 +337,8 @@ class FreePowerResult:
     boundary_roots: tuple[float, ...]
     x3: Optional[float]
     x4: Optional[float]
+    ac_masses: tuple[float, ...]
     _kernel: Optional[_PowerKernel] = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def ac_masses(self) -> tuple[float, ...]:
-        """Absolutely continuous mass of each support component; raises
-        ConvergenceError unless atomic plus a.c. mass is 1 within 1e-6."""
-        kernel = self._kernel
-        masses = () if kernel is None else tuple(kernel.masses.tolist())
-        ac, atomic = sum(masses), self.atomic_mass
-        if not abs(ac + atomic - 1.0) <= _MASS_TOL:   # a NaN mass fails too
-            raise ConvergenceError(f"mass conservation violated: a.c. {ac:.9f} + "
-                                   f"atomic {atomic:.9f} = {ac + atomic:.9f}")
-        return masses
 
     @property
     def ac_mass(self) -> float:
@@ -392,10 +381,10 @@ class FreePowerResult:
         if self.atoms:
             pos, mass = np.array(self.atoms).T
             out += np.r_[0.0, np.cumsum(mass)][np.searchsorted(pos, xq, side="right")]
-        if self.ac_masses:   # the first read sums and checks the masses
+        if self.ac_masses:
             kernel = self._kernel
             ends = kernel.curves[3] + kernel.shift
-            out += np.r_[0.0, np.cumsum(kernel.masses)][np.searchsorted(ends, xq, "right")]
+            out += np.r_[0.0, np.cumsum(self.ac_masses)][np.searchsorted(ends, xq, "right")]
             omega, inside = kernel.subordinate(xq)
             out[inside] = kernel.cdf_inside(xq[inside] - kernel.shift, omega)
         return float(out[0]) if scalar else out
@@ -504,28 +493,34 @@ def _check_power(mu: AtomicMeasure, T: float) -> None:
 def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
     """Support decomposition of the T-th free convolution power.
 
-    Only the geometry is located here: T = 1 repackages mu and a one-atom
-    measure gives the moved point mass, both with no a.c. part.  The a.c.
-    masses are counted when `ac_masses` (or `ac_mass`, `to_json`, `cdf`)
-    is first read, which raises ConvergenceError unless the atomic plus a.c.
-    mass reproduces 1 within 1e-6.
+    The geometry is located and the a.c. masses are counted here: T = 1
+    repackages mu and a one-atom measure gives the moved point mass, both
+    with no a.c. part.  Raises ConvergenceError unless the atomic plus a.c.
+    mass reproduces 1 within 1e-6, so no result holds a lost mass.
     """
     _check_power(mu, T)
     kernel = None if T == 1.0 or mu.n_atoms == 1 else _PowerKernel(mu, T)
-    comps = bt = ()
+    comps = bt = masses = ()
     if kernel is not None:
         u_lo, u_hi, x_lo, x_hi = kernel.curves
         comps = tuple(zip((x_lo + kernel.shift).tolist(), (x_hi + kernel.shift).tolist()))
         bt = tuple(zip((u_lo + kernel.tau).tolist(), (u_hi + kernel.tau).tolist()))
+        masses = tuple(kernel.masses.tolist())
+    atoms = atoms_of_power(mu, T)
+    ac, atomic = sum(masses), float(sum(m for _, m in atoms))
+    if not abs(ac + atomic - 1.0) <= _MASS_TOL:   # a NaN mass fails too
+        raise ConvergenceError(f"mass conservation violated: a.c. {ac:.9f} + "
+                               f"atomic {atomic:.9f} = {ac + atomic:.9f}")
     roots = tuple(e for c in bt for e in c)
     return FreePowerResult(
         T=float(T),
         support_components=comps,
-        atoms=atoms_of_power(mu, T),
+        atoms=atoms,
         bt_components=bt,
         boundary_roots=roots,
         x3=comps[-1][1] if comps else None,
         x4=roots[-1] if roots else None,
+        ac_masses=masses,
         _kernel=kernel,
     )
 

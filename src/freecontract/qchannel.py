@@ -162,8 +162,8 @@ def bell_output(ch: ChannelInstance) -> QuantumState:
 
 def entropy(state_or_vector: Union[QuantumState, np.ndarray], p: float = 1.0) -> float:
     """Renyi-p entropy of a state's spectrum (p = 1: von Neumann), natural log."""
-    if p <= 0.0:
-        raise DomainError("entropy order p must be positive")
+    if not 0.0 < p < math.inf:   # NaN fails too
+        raise DomainError("entropy order p must be positive and finite")
     if isinstance(state_or_vector, QuantumState):
         lam = state_or_vector.eigenvalues()
     else:

@@ -42,6 +42,7 @@ from .rng import STREAM_PROBES, stream
 
 SIMPLEX_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
+_L_MESSAGE = "L must be finite and dominate the largest eigenvalue"
 
 
 def _check_t(t: float) -> float:
@@ -102,7 +103,7 @@ def lower_bound(spec: HermitianSpec, t: float, L: float) -> float:
     if spec.lminus < 0.0:
         raise DomainError("the lower bound requires a nonnegative element")
     if not spec.lplus <= L < math.inf:
-        raise DomainError("L must be finite and dominate the largest eigenvalue")
+        raise DomainError(_L_MESSAGE)
     tau, sigma = spec.mean, spec.sigma
     root = sigma * math.sqrt(1.0 / t - 1.0)
     eps = root / (L + root) if root > 0.0 else 0.0
@@ -110,7 +111,8 @@ def lower_bound(spec: HermitianSpec, t: float, L: float) -> float:
 
 
 def kargin_bound(spec: HermitianSpec, t: float) -> float:
-    """Moment bound mean + 2*sqrt(t)*sigma + 5t*||a-mean||^3/variance (t = 1/n only)."""
+    """Moment bound mean + 2*sqrt(t)*sigma + 5t*||a-mean||^3/variance (t = 1/n
+    only); DomainError where it overflows."""
     t = _check_t(t)
     n = round(1.0 / t)
     if n < 1 or abs(1.0 / t - n) > 1e-9:
@@ -118,8 +120,14 @@ def kargin_bound(spec: HermitianSpec, t: float) -> float:
     if spec.variance <= 0.0:
         raise DomainError("the moment bound degenerates at zero variance")
     centered_norm = float(np.max(np.abs(spec.eigenvalues - spec.mean)))
-    return spec.mean + 2.0 * math.sqrt(t) * spec.sigma \
-        + 5.0 * t * centered_norm**3 / spec.variance
+    try:
+        bound = spec.mean + 2.0 * math.sqrt(t) * spec.sigma \
+            + 5.0 * t * centered_norm**3 / spec.variance
+    except OverflowError:   # from the cube; a product past the range is inf
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise DomainError("the moment bound overflows")
+    return bound
 
 
 def superconvergence_asymptote(spec: HermitianSpec, t: float) -> float:
@@ -130,42 +138,35 @@ def superconvergence_asymptote(spec: HermitianSpec, t: float) -> float:
 
 @dataclass(frozen=True)
 class TNormReport:
-    """Norm value with every estimate that applies at this (spec, t)."""
+    """Norm value with every estimate that applies at this (spec, t), in
+    the CLI's output order; an estimate that does not apply is None."""
 
     t: float
     exact: float
-    upper_thm: float
-    atom_dominated: bool
+    upper: float
+    lower: Optional[float]
+    kargin: Optional[float]
     asymptote: float
-    lower_thm: Optional[float] = None
-    kargin: Optional[float] = None
-    upper_abs_atom: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "exact": self.exact,
-            "upper": self.upper_thm,
-            "lower": self.lower_thm,
-            "kargin": self.kargin,
-            "asymptote": self.asymptote,
-            "atom_dominated": self.atom_dominated,
-            "upper_abs_atom": self.upper_abs_atom,
-        }
+    atom_dominated: bool
+    upper_abs_atom: Optional[float]
 
 
 def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
                  all_bounds: bool = True) -> TNormReport:
     """Bundle the exact norm with whichever estimates are defined.
 
-    The lower bound needs a nonnegative element (L defaults to the largest
-    eigenvalue) and the moment bound needs 1/t integral; inapplicable
-    estimates are reported as None rather than errors.  When the atom term
-    dominates the upper bound, `upper_abs_atom` also records the variant
-    with the dominant eigenvalue taken in absolute value (the two coincide
-    for nonnegative elements).
+    A given L is checked as the lower bound checks it (finite, at least the
+    largest eigenvalue) whether or not that bound is computed.  The lower
+    bound needs a nonnegative element (L defaults to the largest
+    eigenvalue) and the moment bound needs 1/t integral and is None where
+    it overflows; inapplicable estimates are None rather than errors.  When
+    the atom term dominates the upper bound, `upper_abs_atom` also records
+    the variant with the dominant eigenvalue taken in absolute value (the
+    two coincide for nonnegative elements).
     """
     t = _check_t(t)
+    if L is not None and not spec.lplus <= L < math.inf:
+        raise DomainError(_L_MESSAGE)
     exact = tnorm_exact(spec, t)
     upper, report_abs = _upper_terms(spec, t)
     lower = kargin = None
@@ -176,16 +177,9 @@ def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
             kargin = kargin_bound(spec, t)
         except DomainError:
             pass
-    return TNormReport(
-        t=t,
-        exact=exact,
-        upper_thm=upper,
-        atom_dominated=report_abs is not None,
-        asymptote=superconvergence_asymptote(spec, t),
-        lower_thm=lower,
-        kargin=kargin,
-        upper_abs_atom=report_abs,
-    )
+    return TNormReport(t=t, exact=exact, upper=upper, lower=lower, kargin=kargin,
+                       asymptote=superconvergence_asymptote(spec, t),
+                       atom_dominated=report_abs is not None, upper_abs_atom=report_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from freecontract.additivity import (
     ScanGrid,
     contour_segments,
+    contour_svg,
     gap_g,
     hastings_gap,
     k_grid,
@@ -156,6 +157,14 @@ class TestProductBound:
             product_bound(10, 0.005)
 
 
+@pytest.mark.parametrize("func", [simplex_bounds, taylor_lower_f, product_bound])
+@pytest.mark.parametrize("k, t", [(1, 0.5), (0, 0.5), (10, 0.0), (10, 1.5), (10, math.nan)],
+                         ids=["k = 1", "k = 0", "t = 0", "t > 1", "nan t"])
+def test_point_functions_check_k_and_t(func, k, t):
+    with pytest.raises(DomainError, match="need"):
+        func(k, t)
+
+
 class TestHastingsGap:
     def test_maximally_mixed_is_tight(self):
         from freecontract.qchannel import QuantumState
@@ -205,12 +214,26 @@ class TestScan:
         with pytest.raises(DomainError):
             k_grid(1e4, kmax, 10)
 
+    def test_k_grid_of_one_point(self):
+        assert k_grid(1e4, 1e5, 1) == [10000]
+        assert k_grid(50.4, 50.4, 10) == [50]
+
     def test_r_grid_rejects_a_nan_step(self):
         with pytest.raises(DomainError):
             r_grid(1.0, 2.0, math.nan)
 
 
 class TestContour:
+    @pytest.mark.parametrize("ks, rs", [([10], [1.0, 1.5]), ([10, 100], [1.5])],
+                             ids=["one k", "one r"])
+    def test_a_grid_without_cells_has_no_contour(self, ks, rs):
+        ks, rs = np.array(ks), np.array(rs)
+        g = np.tile(rs - 1.25, (ks.size, 1))
+        grid = ScanGrid(ks, rs, np.zeros_like(g), g)
+        assert contour_segments(grid) == []
+        svg = contour_svg(grid)
+        assert svg.startswith("<svg") and svg.endswith("</svg>\n") and "<line" not in svg
+
     def test_segments_track_zero_level(self):
         # synthetic plane g = r - 1.5: the contour is the horizontal line r = 1.5
         ks, rs = np.array([10, 100, 1000]), np.array([1.0, 1.25, 1.5, 1.75])

@@ -43,6 +43,19 @@ class TestTnormCommand:
         assert lines[0] == "t,exact,upper,lower,kargin,asymptote,atom_dominated"
         assert len(lines) == 2
 
+    def test_overflowing_moment_bound_is_null(self, tmp_path):
+        # ||a - mean||^3 = 1e309 overflows; the other estimates stand
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps(
+            {"k": 2, "eigs": [{"xi": -1e103, "d": 1}, {"xi": 1e103, "d": 1}]}))
+        out = tmp_path / "report.json"
+        assert main(["tnorm", "--spec", str(spec), "--t", "0.5", "--all-bounds",
+                     "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["kargin"] is None
+        assert obj["exact"] == pytest.approx(1e103, rel=1e-12)
+        assert obj["exact"] <= obj["upper"] < math.inf
+
     def test_domain_error_exit_2_and_no_output(self, bernoulli_spec_path, tmp_path):
         out = tmp_path / "never.json"
         code = main(["tnorm", "--spec", bernoulli_spec_path, "--t", "2.0",
@@ -150,7 +163,13 @@ class TestMalformedInputs:
         (["tnorm", "--t", "0.5", "--spec"], {"k": 1, "eigs": [{"xi": "abc", "d": 1}]}),
         (["power", "--T", "2", "--measure"], {"atoms": [{"x": "abc", "w": 1.0}]}),
         (["tnorm", "--t", "0.5", "--spec"], {"k": 1, "eigs": [{"xi": 0.0, "d": 10**20}]}),
-    ], ids=["fractional d", "fractional k", "non-numeric xi", "non-numeric x", "huge d"])
+        # the variance of {-1e155, 1e155} overflows
+        (["tnorm", "--t", "0.5", "--spec"],
+         {"k": 2, "eigs": [{"xi": -1e155, "d": 1}, {"xi": 1e155, "d": 1}]}),
+        (["measure", "rho", "--measure"],
+         {"atoms": [{"x": -1e155, "w": 0.5}, {"x": 1e155, "w": 0.5}]}),
+    ], ids=["fractional d", "fractional k", "non-numeric xi", "non-numeric x", "huge d",
+            "overflowing spec variance", "overflowing measure variance"])
     def test_exit_2_with_an_error_line(self, argv, text, tmp_path, capsys):
         path, out = tmp_path / "input.json", tmp_path / "never.json"
         path.write_text(json.dumps(text))
@@ -167,17 +186,32 @@ class TestMalformedInputs:
          "--rstep", "0.1"],
         ["tnorm", "--spec", "SPEC", "--t", "0.5", "--all-bounds", "--L", "nan"],
         ["tnorm", "--spec", "SPEC", "--t", "0.5", "--all-bounds", "--L", "inf"],
+        # L is checked whether or not the lower bound is computed
+        ["tnorm", "--spec", "SPEC", "--t", "0.5", "--L", "nan"],
+        ["tnorm", "--spec", "SPEC", "--t", "0.5", "--L", "0.5"],
+        ["tnorm", "--spec", "SIGNED", "--t", "0.5", "--L", "nan"],
     ], ids=["negative density grid", "nan rstep", "infinite kmax", "kmax past 2**53",
-            "nan L", "infinite L"])
-    def test_bad_flag_exits_2(self, argv, bernoulli_measure_path, tmp_path, capsys):
+            "nan L", "infinite L", "nan L without all-bounds",
+            "L below the top eigenvalue without all-bounds", "nan L on a signed spec"])
+    def test_bad_flag_exits_2(self, argv, bernoulli_measure_path, bernoulli_spec_path,
+                              tmp_path, capsys):
         spec = tmp_path / "nonneg_spec.json"
         spec.write_text(json.dumps({"k": 2, "eigs": [{"xi": 0.0, "d": 1}, {"xi": 2.0, "d": 1}]}))
         out = tmp_path / "never.out"
-        argv = [{"MEASURE": bernoulli_measure_path, "SPEC": str(spec)}.get(a, a) for a in argv]
+        argv = [{"MEASURE": bernoulli_measure_path, "SPEC": str(spec),
+                 "SIGNED": bernoulli_spec_path}.get(a, a) for a in argv]
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("freecontract: error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_truncated_json(self, tmp_path, capsys):
+        path, out = tmp_path / "truncated.json", tmp_path / "never.json"
+        path.write_text('{"k": 2,')
+        assert main(["tnorm", "--spec", str(path), "--t", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("freecontract: error: malformed JSON input: ")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_out_naming_a_directory(self, bernoulli_spec_path, tmp_path, capsys):
         out = tmp_path / "a_directory"

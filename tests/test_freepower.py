@@ -383,6 +383,15 @@ class TestAtoms:
         assert result.atoms == ((T * 0.4, 1.0),)
         assert result.atomic_mass == 1.0
 
+    def test_no_ac_part_has_no_subordination(self, bernoulli):
+        # T = 1 repackages mu, and a one-atom measure's power is one atom
+        for mu, T in ((bernoulli, 1.0), (make_measure([(0.4, 1.0)]), 3.0)):
+            result = free_power(mu, T)
+            assert result.support_components == () and result.ac_masses == ()
+            assert result.cdf(10.0) == 1.0
+            with pytest.raises(DomainError, match="no a.c. support"):
+                result.subordination(0.4)
+
 
 class TestSubordination:
     def test_bernoulli_T2_center(self, bernoulli):
@@ -758,8 +767,8 @@ class TestTransformsSkipComponentLocation:
 
 
 class TestLazyMasses:
-    # the norm, support, density and subordination read only the geometry;
-    # component masses are summed on first read, once
+    # the norm reads only the support hull and never counts a mass; a power
+    # counts and checks its masses once, when free_power builds it
 
     def test_geometry_paths_never_integrate(self, bernoulli, bernoulli_spec,
                                             monkeypatch, tmp_path):
@@ -771,10 +780,6 @@ class TestLazyMasses:
         monkeypatch.setattr(freepower._PowerKernel.masses, "func", refuse)
         assert tnorm.tnorm_exact(bernoulli_spec, 0.25) == pytest.approx(SQRT3 / 2, abs=1e-9)
         tnorm.tnorm_report(bernoulli_spec, 0.5)
-        assert len(free_power(bernoulli, 4.0).support_components) == 1
-        free_power(bernoulli, 2.0).density(np.array([-0.5, 0.0, 0.5]))
-        free_power(bernoulli, 2.0).subordination(0.3)
-        free_power(bernoulli, 1.5).bt_components
         tnorm.kkt_membership([0.5, 0.5], 0.5, tnorm.default_probes(2, count=3))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"k": 2, "eigs": [{"xi": -1.0, "d": 1}, {"xi": 1.0, "d": 1}]}')
@@ -794,15 +799,27 @@ class TestLazyMasses:
         monkeypatch.setattr(freepower._PowerKernel.masses, "func", counting)
         mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
         result = free_power(mu, 1.05)
-        assert calls == []
+        assert calls == [result._kernel]
         for _ in range(2):
             assert result.to_json()["ac_masses"] == list(result.ac_masses)
             assert result.ac_mass == pytest.approx(1.0 - result.atomic_mass, abs=1e-6)
             assert result.cdf(10.0) == pytest.approx(1.0, abs=1e-6)
             assert 0.0 < result.cdf(0.5) < result.cdf(1.5) < 1.0
         assert calls == [result._kernel]
-        free_power(mu, 1.05).ac_masses
+        free_power(mu, 1.05)
         assert len(calls) == 2
+
+    def test_lost_mass_refused_when_built(self, monkeypatch):
+        # no result exists whose geometry failed the mass check, so a
+        # density is never read off a power that lost mass
+        from freecontract import freepower
+
+        exact = freepower._PowerKernel.masses.func
+        monkeypatch.setattr(freepower._PowerKernel.masses, "func",
+                            lambda self: exact(self) * (1.0 - 1e-5))
+        mu = make_measure([(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)])
+        with pytest.raises(ConvergenceError, match="mass conservation violated"):
+            free_power(mu, 1.05)
 
     def test_rho_built_once_per_result(self, monkeypatch):
         from freecontract import freepower

@@ -77,9 +77,18 @@ class TestMoments:
         assert (spec.mean, spec.variance) == (1e8 + 0.5, 0.25)
 
     def test_requires_probability(self):
-        heavy = AtomicMeasure(np.array([0.0]), np.array([2.0]), 2.0)
+        heavy = AtomicMeasure(np.array([0.0]), np.array([2.0]))
         with pytest.raises(DomainError):
             moments(heavy)
+
+    def test_overflowing_variance_refused(self):
+        # (1e155)^2 is past the float range: no ratio to the variance can
+        # check anything, so rho and the norm must not be built on it
+        wide = make_measure([(-1e155, 0.5), (1e155, 0.5)])
+        for call in (moments, nevanlinna_rho):
+            with pytest.raises(DomainError, match="variance"):
+                call(wide)
+        assert moments(make_measure([(-1e153, 0.5), (1e153, 0.5)]))[1] == pytest.approx(1e306)
 
 
 class TestCauchyPair:

@@ -220,6 +220,11 @@ class TestEntropy:
         with pytest.raises(DomainError):
             entropy(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_order_must_be_finite(self, p):
+        with pytest.raises(DomainError):
+            entropy(np.array([0.5, 0.5]), p)
+
     def test_binary_entropy_half(self):
         assert binary_entropy(0.5) == pytest.approx(LOG2)
         assert binary_entropy(0.0) == 0.0

@@ -143,6 +143,14 @@ class TestKarginBound:
         with pytest.raises(DomainError):
             kargin_bound(bernoulli_spec, 0.3)
 
+    @pytest.mark.parametrize("edge, t", [(1e103, 0.5), (4e102, 1.0)],
+                             ids=["cube overflows", "product overflows"])
+    def test_overflow_rejected(self, edge, t):
+        spec = HermitianSpec(2, np.array([-edge, edge]), np.array([1, 1]))
+        with pytest.raises(DomainError, match="overflows"):
+            kargin_bound(spec, t)
+        assert tnorm_report(spec, t).kargin is None
+
     def test_upper_beats_kargin_on_nonneg(self):
         failures = []
         for trial in range(100):
@@ -180,17 +188,25 @@ class TestAsymptote:
 class TestReport:
     def test_all_bounds_fields(self, shifted_spec):
         rep = tnorm_report(shifted_spec, 0.25)
-        assert rep.lower_thm is not None and rep.kargin is not None
-        assert rep.lower_thm <= rep.exact <= rep.upper_thm
-        obj = rep.to_json()
-        assert set(obj) >= {"t", "exact", "upper", "lower", "kargin",
-                            "asymptote", "atom_dominated"}
+        assert rep.lower is not None and rep.kargin is not None
+        assert rep.lower <= rep.exact <= rep.upper
+        assert list(vars(rep)) == ["t", "exact", "upper", "lower", "kargin",
+                                   "asymptote", "atom_dominated", "upper_abs_atom"]
 
     def test_bounds_skipped_where_undefined(self):
         spec = HermitianSpec.from_values([-1.0, 1.0])
         rep = tnorm_report(spec, 0.3)
-        assert rep.lower_thm is None     # negative eigenvalue
+        assert rep.lower is None         # negative eigenvalue
         assert rep.kargin is None        # 1/t not integral
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.5])
+    @pytest.mark.parametrize("all_bounds", [False, True])
+    def test_given_L_always_checked(self, L, all_bounds):
+        # also where no lower bound is computed: a signed spec, or no all_bounds
+        for values in ([-1.0, 1.0], [0.0, 2.0]):
+            with pytest.raises(DomainError, match="L must be finite"):
+                tnorm_report(HermitianSpec.from_values(values), 0.5, L=L,
+                             all_bounds=all_bounds)
 
     def test_abs_atom_variant_reported(self):
         spec = HermitianSpec(3, np.array([-0.7]), np.array([3]))
