@@ -52,7 +52,7 @@ At a component's ends omega is real and each arg is 0 or pi, so its a.c.
 mass is T*mu((u_lo, u_hi)) + (T-1)*(chi(u_hi) - chi(u_lo)) with
 chi(u) = [G(u) < 0]: a sum of weights and a parity count.
 
-A norm reads only the two outer ends of the support, and `support_hull`
+A norm reads only the outer ends of the support, and `support_hull`
 finds them from mu alone, with no rho and no component geometry.  With
 x_j the outermost atom of mu on one side and w_j its weight, that end is
 the atom T*x_j when w_j > 1 - 1/T; otherwise it is h(u) at the root
@@ -63,8 +63,9 @@ and B = sum_i w_i b_i,
     psi(u) = sum_i w_i (b_i - B)^2 / B^2,
     h(u)   = u + (T-1) * sum_i w_i (u - x_i) (b_i - B)^2 / B^2,
 
-every term nonnegative and finite at u = x_j; both ends are solved in one
-bracketed Newton pass of O(m) per probe.
+every term nonnegative and finite at u = x_j.  Each end is one scalar
+root, solved alone by safeguarded Newton in its bracket at O(m) per
+probe, so a norm that reads one end solves only that one.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .measures import (NEWTON_TOL, AtomicMeasure, _f_pair, cauchy_pair, moments,
                        nevanlinna_rho)
-from .rootfind import NEWTON_ULPS, bisect, blockwise, damped_newton
+from .rootfind import NEWTON_ULPS, bisect, blockwise, bracketed_newton, damped_newton
 
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
 # Newton steps of the two monotone rises, a boundary height and a support
@@ -527,7 +528,13 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
 
 def support_hull(mu: AtomicMeasure, T: float) -> tuple[float, float]:
     """(lo, hi): the smallest interval holding the support of the T-th
-    power, atoms included, from mu alone (formulas in the module docstring).
+    power, atoms included, from mu alone: its two ends by `hull_end`."""
+    return hull_end(mu, T, -1.0), hull_end(mu, T, 1.0)
+
+
+def hull_end(mu: AtomicMeasure, T: float, side: float) -> float:
+    """The right (side = 1.0) or left (side = -1.0) end of `support_hull`,
+    solved alone (formulas in the module docstring).
 
     An end whose outer atom has w_j > 1 - 1/T (the `atoms_of_power` test)
     is the atom T*x_j: h(x_j) = T*x_j and h increases outside B, so the
@@ -539,50 +546,57 @@ def support_hull(mu: AtomicMeasure, T: float) -> tuple[float, float]:
     var/(u - x_j)^2 (rho's atoms lie below x_j and weigh var in all), so
     the root lies within sqrt(var*(T-1)) of x_j.  Newton runs on
     B/sqrt(V) - sqrt(T-1) with V = B^2*psi, which increases through the
-    root and is linear far from the atoms; the left end is the right end
-    of the mirrored measure, and both are solved in one pass.
+    root and is linear far from the atoms, as one scalar root of
+    `bracketed_newton`; the left end is the right end of the mirrored
+    measure.  The end is h(u) with the deviations taken relative to B
+    (d_i/B and A/B), which stay finite when B^2 underflows next to a
+    light atom.  mu is scaled by 2^-e, with 2^e the binary exponent of
+    its widest distance from the mean, and the end scaled back, so that
+    var*(T-1) cannot overflow nor the variance of a tiny spectrum
+    underflow; scaling by a power of two changes no other bit.
     """
     _check_power(mu, T)
     T = float(T)
-    pos, w = mu.positions, mu.weights
-    lo, hi = T * float(pos[0]), T * float(pos[-1])
-    thr = 1.0 - 1.0 / T
-    light = np.array([w[-1] <= thr, w[0] <= thr]) & (mu.n_atoms > 1)
-    if not light.any():
-        return lo, hi
-    tau, var = moments(mu)
-    # row 0 is mu and row 1 its mirror image, each with its outer atom x_j
-    # last; the sums run over the other atoms and add x_j's terms apart
-    # (a_j = 0, b_j = 1), which keeps them finite at u = x_j
-    x = np.stack([pos - tau, (tau - pos)[::-1]])[light]
-    wt = np.stack([w, w[::-1]])[light]
-    xj, wj, x, wt = x[:, -1], wt[:, -1], x[:, :-1], wt[:, :-1]
-    gap = xj[:, None] - x
+    w = mu.weights
+    j = -1 if side > 0.0 else 0
+    if mu.n_atoms == 1 or w[j] > 1.0 - 1.0 / T:
+        return T * float(mu.positions[j])
+    tau, _ = moments(mu)      # refuses a variance past the float range
+    x = mu.positions - tau
+    e = math.frexp(max(-x[0], x[-1]))[1]
+    x = np.ldexp(x, -e)
+    var = float(w @ (x * x))
+    # mirrored for the left end so that the outer atom x_j is last; the
+    # sums run over the other atoms and add x_j's terms apart (a_j = 0,
+    # b_j = 1), which keeps them finite at u = x_j
+    if side < 0.0:
+        x, w = -x[::-1], w[::-1]
+    xj, wj, x, w = float(x[-1]), float(w[-1]), x[:-1], w[:-1]
+    gap = xj - x
 
-    def ratios(u: np.ndarray, i: np.ndarray):
-        """The weights, 1/(u - x_i), a_i and d_i of the other atoms, A and B."""
-        wi, r = wt[i], 1.0 / (u[:, None] - x[i])
-        a, b = gap[i] * r, (u - xj[i])[:, None] * r
-        big_a, big_b = (wi * a).sum(axis=1), wj[i] + (wi * b).sum(axis=1)
+    def ratios(u: float):
+        """1/(u - x_i), a_i and d_i of the other atoms, A and B."""
+        r = 1.0 / (u - x)
+        a, b = gap * r, (u - xj) * r
+        big_a, big_b = float(w @ a), wj + float(w @ b)
         # d_i = b_i - B = A - a_i, from the smaller pair
-        d = np.where(b + big_b[:, None] < 1.0, b - big_b[:, None], big_a[:, None] - a)
-        return wi, r, a, d, big_a, big_b
+        d = np.where(b + big_b < 1.0, b - big_b, big_a - a)
+        return r, a, d, big_a, big_b
 
-    def probe(u: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        wi, r, a, d, big_a, big_b = ratios(u, i)
-        wd, db = wi * d, a * r     # db: d b_i/du
-        v = (wd * d).sum(axis=1) + wj[i] * big_a * big_a
-        fp = ((wi * db).sum(axis=1) * v - big_b * (wd * db).sum(axis=1)) / (v * np.sqrt(v))
-        return big_b / np.sqrt(v) - math.sqrt(T - 1.0), fp
+    def probe(u: float) -> tuple[float, float]:
+        r, a, d, big_a, big_b = ratios(u)
+        wd, db = w * d, a * r     # db: d b_i/du
+        # numpy scalars: a V that underflows to 0 divides to inf or NaN
+        v = wd @ d + wj * big_a * big_a
+        sv = np.sqrt(v)
+        fp = (w @ db * v - big_b * (wd @ db)) / (v * sv)
+        return float(big_b / sv) - math.sqrt(T - 1.0), float(fp)
 
     reach = math.sqrt(var * (T - 1.0))
     # twice the bound, so that rounding in var cannot put the root outside
-    u = bisect(probe, xj, xj + 2.0 * reach, mu.n_atoms, np.full(xj.size, reach))
-    _, _, _, d, big_a, big_b = ratios(u, np.arange(u.size))
-    spread = (wt * (u[:, None] - x) * d * d).sum(axis=1) + wj * (u - xj) * big_a * big_a
-    ends = iter((u + (T - 1.0) * spread / (big_b * big_b)).tolist())
-    if light[0]:
-        hi = T * tau + next(ends)
-    if light[1]:
-        lo = T * tau - next(ends)
-    return lo, hi
+    u = bracketed_newton(probe, xj, xj + 2.0 * reach, reach)
+    _, _, d, big_a, big_b = ratios(u)
+    d /= big_b
+    ab = big_a / big_b
+    spread = float((w * (u - x) * d) @ d) + wj * (u - xj) * ab * ab
+    return T * tau + side * (u + (T - 1.0) * spread) * 2.0 ** e

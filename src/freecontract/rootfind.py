@@ -1,14 +1,17 @@
 """Root finding.
 
 Real roots with a guaranteed sign-change bracket (the zeros of the Cauchy
-transform, the subordination points and the ends of the support hull) come
-from one vectorized safeguarded Newton iteration, :func:`bisect`, which
-solves a whole array of brackets at once: a Newton step is taken where it
-lands inside the shrinking bracket, a bisection step elsewhere (rtsafe,
-Numerical Recipes 3rd ed., section 9.4).  Endpoints are never evaluated:
-brackets may start at a pole, so callers clear their poles, which keeps the
-probed function finite on the closed bracket and Newton's model good next
-to them.  The support edges and the boundary heights need no bracket: each
+transform and the subordination points) come from one vectorized
+safeguarded Newton iteration, :func:`bisect`, which solves a whole array
+of brackets at once: a Newton step is taken where it lands inside the
+shrinking bracket, a bisection step elsewhere (rtsafe, Numerical Recipes
+3rd ed., section 9.4).  Endpoints are never evaluated: brackets may start
+at a pole, so callers clear their poles, which keeps the probed function
+finite on the closed bracket and Newton's model good next to them.  A
+single bracket (each end of the support hull) goes through
+:func:`bracketed_newton`, the same iteration on Python floats: the same
+first probe, steps and stops, with no array bookkeeping around an O(m)
+probe.  The support edges and the boundary heights need no bracket: each
 is the root of a concave increasing function, reached by monotone Newton
 steps from below (see :mod:`freecontract.freepower`), with probes in
 :func:`blockwise` rows and the same NEWTON_ULPS stop for the edges.  Each
@@ -21,6 +24,7 @@ through one damped Newton iteration, :func:`damped_newton`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,6 +112,44 @@ def bisect(
             x = np.where(inside | done, xn, 0.5 * (a + b))
         root[idx] = np.where(done, x, 0.5 * (a + b))
     return root
+
+
+def bracketed_newton(
+    probe: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    start: Optional[float] = None,
+) -> float:
+    """Root of one bracket [lo, hi] by :func:`bisect`'s iteration on Python
+    floats: `probe(x)` returns the floats (f, f'), and the first probe,
+    the Newton and bisection steps and the three stops are bisect's, so on
+    one bracket the two return the same bits.  Division by zero in numpy
+    inside `probe` is silenced.
+    """
+    a, b = float(lo), float(hi)
+    x = start if start is not None and a < start < b else 0.5 * (a + b)
+    tol = NEWTON_ULPS * math.ulp(max(abs(a), abs(b)))
+    done = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_STEPS):
+            if done or not a < x < b:
+                return x
+            f, fp = probe(x)
+            if f < 0.0:
+                a = x
+            else:
+                b = x
+            # a zero or non-finite f' makes bisect's step infinite or NaN
+            if fp != 0.0 and math.isfinite(fp):
+                step = f / fp
+                xn = x - step
+                inside = a < xn < b
+                done = (inside or xn == x) and abs(step) <= tol
+                if inside or done:
+                    x = xn
+                    continue
+            x = 0.5 * (a + b)
+    return x if done else 0.5 * (a + b)
 
 
 def damped_newton(

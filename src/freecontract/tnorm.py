@@ -3,11 +3,12 @@
 The norm of a Hermitian element a (described by a :class:`HermitianSpec`)
 at compression parameter t in (0, 1] equals t times the largest absolute
 point of the support of the (1/t)-th free convolution power of its
-spectral distribution.  Only the two outer ends of that support enter, and
-`freepower.support_hull` finds them from the spectrum alone: with x_j the
+spectral distribution.  Only the outer ends of that support enter, and
+`freepower.hull_end` finds each from the spectrum alone: with x_j the
 outermost eigenvalue on one side and w_j its weight, the end is the atom
 x_j/t when w_j > 1 - t, and otherwise h(u) at the root u beyond x_j of
-F'(u) - 1 = t/(1 - t), F = 1/G the reciprocal Cauchy transform.  The norm
+F'(u) - 1 = t/(1 - t), F = 1/G the reciprocal Cauchy transform.  A
+spectrum of one sign reads one end, a mixed one both.  The norm
 therefore computes no remainder measure rho and no component geometry.
 Alongside it the module evaluates four closed-form estimates:
 
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 # free_power stays bound here, unused: perfbench/tracing.py wraps
 # `tnorm.free_power` by attribute name
-from .freepower import free_power, support_hull  # noqa: F401
+from .freepower import free_power, hull_end  # noqa: F401
 from .measures import HermitianSpec
 from .rng import STREAM_PROBES, stream
 
@@ -63,10 +64,17 @@ def support_bounds(spec: HermitianSpec, T: float) -> tuple[float, float]:
 
 def tnorm_exact(spec: HermitianSpec, t: float) -> float:
     """Exact norm: t times the largest |v| over the support of the (1/t)-th
-    power, read from its two outer ends by `support_hull`."""
+    power, read from its outer ends by `hull_end`: only the right end for a
+    nonnegative spectrum, whose left end lies in [T*lminus, right end],
+    only the left end for a nonpositive one, and both otherwise.
+    ConvergenceError where the norm is not finite."""
     t = _check_t(t)
-    lo, hi = support_hull(spec.measure(), 1.0 / t)
-    return t * max(abs(lo), abs(hi))
+    mu, T = spec.measure(), 1.0 / t
+    sides = (1.0,) if spec.lminus >= 0.0 else (-1.0,) if spec.lplus <= 0.0 else (-1.0, 1.0)
+    norm = t * max(abs(hull_end(mu, T, side)) for side in sides)
+    if not math.isfinite(norm):
+        raise ConvergenceError(f"the norm at t = {t!r} is not finite")
+    return norm
 
 
 def _upper_terms(spec: HermitianSpec, t: float) -> tuple[float, Optional[float]]:

@@ -56,6 +56,21 @@ class TestTnormCommand:
         assert obj["exact"] == pytest.approx(1e103, rel=1e-12)
         assert obj["exact"] <= obj["upper"] < math.inf
 
+    def test_a_wide_spectrum_writes_a_finite_norm(self, tmp_path):
+        # var*(T - 1) overflows inside the hull at t = 0.1; the norm is
+        # t*2*sqrt(T - 1)*a = 3e153, written as valid JSON
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps(
+            {"k": 2, "eigs": [{"xi": -5e153, "d": 1}, {"xi": 5e153, "d": 1}]}))
+        out = tmp_path / "report.json"
+        assert main(["tnorm", "--spec", str(spec), "--t", "0.1", "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} in the output")
+
+        obj = json.loads(out.read_text(), parse_constant=refuse)
+        assert obj["exact"] == pytest.approx(3e153, rel=1e-12, abs=0.0)
+
     def test_domain_error_exit_2_and_no_output(self, bernoulli_spec_path, tmp_path):
         out = tmp_path / "never.json"
         code = main(["tnorm", "--spec", bernoulli_spec_path, "--t", "2.0",

@@ -730,6 +730,25 @@ class TestSupportHull:
         with pytest.raises(DomainError):
             support_hull(make_measure([(0.0, 0.5), (1.0, 0.25)]), 2.0)
 
+    def test_a_wide_spectrum_is_scaled_not_overflowed(self):
+        # var*(T - 1) = 2.25e308 is past the float range; mu scaled by a
+        # power of two gives the ends +-2*sqrt(T - 1)*a = +-3e154
+        a, T = 5e153, 10.0
+        lo, hi = support_hull(make_measure([(-a, 0.5), (a, 0.5)]), T)
+        want = 2.0 * math.sqrt(T - 1.0) * a
+        assert abs(hi - want) <= 4 * np.spacing(want)
+        assert abs(lo + want) <= 4 * np.spacing(want)
+
+    @pytest.mark.parametrize("T", [1.001, 2.0])
+    def test_a_light_outer_atom_whose_B_squared_underflows(self, T):
+        # the edge root rounds onto the outer atom, where B = 1e-250 and
+        # B^2 underflows: the end is formed from d/B and A/B, and is the
+        # end of the same measure with an outer weight of 1e-100
+        light, ref = (support_hull(make_measure([(0.0, 0.5), (1.0, 0.5 - w), (2.0, w)]), T)
+                      for w in (1e-250, 1e-100))
+        assert np.all(np.isfinite(light))
+        assert np.max(np.abs(np.subtract(light, ref))) <= 1e-13 * max(map(abs, ref))
+
     def test_norm_computes_no_rho_and_no_geometry(self, bernoulli_spec, monkeypatch,
                                                    tmp_path):
         from freecontract import cli, freepower, measures, tnorm

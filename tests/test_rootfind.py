@@ -8,7 +8,8 @@ from freecontract import freepower, measures, rootfind
 from freecontract.errors import ConvergenceError
 from freecontract.freepower import _PowerKernel, free_power
 from freecontract.measures import HermitianSpec, make_measure, nevanlinna_rho
-from freecontract.rootfind import BLOCK_ELEMENTS, MAX_STEPS, bisect, damped_newton
+from freecontract.rootfind import (BLOCK_ELEMENTS, MAX_STEPS, bisect, bracketed_newton,
+                                  damped_newton)
 
 
 def test_damped_newton_finds_i():
@@ -125,6 +126,65 @@ def test_newton_brackets_match_single_solves():
              for i, r in enumerate(roots)]
     np.testing.assert_array_equal(together, alone)
     assert np.all(np.abs(together - roots) <= 2 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+
+
+def _pole_cleared(x):
+    # -G(x)*(x - L)*(R - x) for G with poles L = 0.0 and R = 1.0 and two
+    # atoms outside [L, R]: finite on the closed bracket, increasing
+    # through the zero of G
+    s = 0.2 / (x + 0.5) + 0.1 / (x - 2.0)
+    sp = -0.2 / (x + 0.5) ** 2 - 0.1 / (x - 2.0) ** 2
+    f = -(0.3 * (1.0 - x) - 0.4 * x + x * (1.0 - x) * s)
+    return f, 0.7 - (1.0 - 2.0 * x) * s - x * (1.0 - x) * sp
+
+
+def _leaving(x):
+    # d/sqrt(1 + d^2): from the far side of the root each Newton step
+    # lands outside the bracket
+    d = x - 1.234
+    q = 1.0 + d * d
+    return d / np.sqrt(q), 1.0 / (q * np.sqrt(q))
+
+
+def _nan_slope(x):
+    return x * x - 2.0, np.nan
+
+
+def _zero_root(x):
+    return x, np.nan
+
+
+@pytest.mark.parametrize("probe, lo, hi, start", [
+    (_pole_cleared, 0.0, 1.0, None),
+    (_pole_cleared, 0.0, 1.0, 0.9),
+    (_leaving, -10.0, 30.0, None),
+    (_leaving, -10.0, 30.0, 25.0),
+    (_nan_slope, 0.0, 2.0, None),
+    (_nan_slope, 0.0, 2.0, 3.0),
+    (_zero_root, -1.0, 3.0, None),
+], ids=["pole-cleared", "pole-cleared from a start", "Newton leaves the bracket",
+        "leaving from a start", "NaN slope", "start outside", "root at 0: the cap"])
+def test_the_scalar_finder_is_bisect_on_one_bracket(probe, lo, hi, start):
+    # the same first probe, steps and stops: the same bits, and the same
+    # points probed in the same order
+    seen = {"array": [], "scalar": []}
+
+    def on_rows(x, _):
+        seen["array"].append(float(x[0]))
+        return probe(x)
+
+    def on_floats(x):
+        seen["scalar"].append(x)
+        f, fp = probe(np.float64(x))
+        return float(f), float(fp)
+
+    want = bisect(on_rows, np.array([lo]), np.array([hi]), 1,
+                  None if start is None else np.array([start]))[0]
+    got = bracketed_newton(on_floats, lo, hi, start)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+    assert seen["scalar"] == seen["array"]
+    assert 3 <= len(seen["scalar"]) <= MAX_STEPS
 
 
 def _counting(monkeypatch, module):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_nonneg_spec, seeded
+from freecontract import tnorm
 from freecontract.errors import ConvergenceError, DomainError
+from freecontract.freepower import support_hull
 from freecontract.measures import HermitianSpec
 from freecontract.tnorm import (
     default_probes,
@@ -18,6 +20,7 @@ from freecontract.tnorm import (
 )
 
 SQRT3 = math.sqrt(3.0)
+NORM_T = (1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 10, 0.37)
 
 
 class TestExactNorm:
@@ -52,6 +55,73 @@ class TestExactNorm:
             tnorm_exact(bernoulli_spec, 0.0)
         with pytest.raises(DomainError):
             tnorm_exact(bernoulli_spec, 1.5)
+
+    @pytest.mark.parametrize("a", [1e-170, 1e-300])
+    def test_tiny_spectrum(self, a):
+        # a^2 underflows: the variance of {-a, a} reads 0 unless mu is
+        # scaled before it is formed
+        spec = HermitianSpec(2, np.array([-a, a]), np.array([1, 1]))
+        assert tnorm_exact(spec, 0.25) == pytest.approx(SQRT3 / 2 * a, rel=1e-15, abs=0.0)
+
+    def test_a_norm_past_the_float_range_raises(self):
+        # the hull ends +-2*sqrt(T - 1)*a of {-a, a} at T = 1e308 overflow
+        spec = HermitianSpec(2, np.array([-1.3e154, 1.3e154]), np.array([1, 1]))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            tnorm_exact(spec, 1e-308)
+
+
+class TestOneSidedNorm:
+    # the left end of a nonnegative spectrum's power lies in
+    # [T*lminus, right end], so only the right end can set the norm, and
+    # the other way round for a nonpositive one
+
+    @staticmethod
+    def _spectra(count, seed, kinds):
+        """One eigenvalue in each m-th of [0, 3], multiplicities 1 to 3 and
+        m log-uniform on [2, 256], placed by `kinds` in turn: nonnegative
+        ("+"), starting at 0 ("+0"), mirrored ("-", "-0") or shifted to
+        mixed signs ("+-")."""
+        rng = seeded(seed)
+        for i in range(count):
+            m = int(np.rint(2.0 ** (1.0 + 7.0 * rng.random())))
+            xi = 3.0 * (np.arange(m) + 0.1 + 0.8 * rng.random(m)) / m
+            kind = kinds[i % len(kinds)]
+            if kind.endswith("0"):
+                xi[0] = 0.0
+            if kind == "+-":
+                xi -= 1.5
+            elif kind.startswith("-"):
+                xi = -xi[::-1]
+            mult = rng.integers(1, 4, m)
+            yield HermitianSpec(int(mult.sum()), xi, mult)
+
+    @staticmethod
+    def _sides(monkeypatch):
+        calls = []
+        solve = tnorm.hull_end
+
+        def counting(mu, T, side):
+            calls.append(side)
+            return solve(mu, T, side)
+
+        monkeypatch.setattr(tnorm, "hull_end", counting)
+        return calls
+
+    @pytest.mark.parametrize("kinds, count, sides", [
+        (("+", "+0", "-", "-0"), 500, None),
+        (("+-",), 60, [-1.0, 1.0]),
+    ], ids=["one sign", "mixed signs"])
+    def test_the_norm_solves_only_the_ends_that_can_set_it(self, monkeypatch, kinds,
+                                                            count, sides):
+        calls = self._sides(monkeypatch)
+        for i, spec in enumerate(self._spectra(count, 2101, kinds)):
+            t = NORM_T[i % len(NORM_T)]
+            del calls[:]
+            got = tnorm_exact(spec, t)
+            want = sides or [1.0 if spec.lminus >= 0.0 else -1.0]
+            assert calls == want, (i, calls)
+            lo, hi = support_hull(spec.measure(), 1.0 / t)
+            assert got == t * max(abs(lo), abs(hi)), (i, got, lo, hi)
 
 
 class TestUpperBound:
