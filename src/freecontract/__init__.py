@@ -15,24 +15,18 @@ from .additivity import (
     phi_overlap,
     product_bound,
     scan_violation,
-    simplex_bounds,
-    taylor_lower_f,
 )
 from .errors import ConvergenceError, DomainError
 from .freepower import (
     FreePowerResult,
-    atoms_of_power,
-    f_height,
     free_power,
     h_transform,
-    power_cauchy_pair,
     power_voiculescu,
     support_hull,
 )
 from .measures import (
     AtomicMeasure,
     HermitianSpec,
-    cauchy_pair,
     make_measure,
     moments,
     nevanlinna_rho,
@@ -41,9 +35,6 @@ from .measures import (
 from .qchannel import (
     ChannelInstance,
     QuantumState,
-    apply_channel,
-    apply_complementary,
-    apply_conjugate_channel,
     bell_output,
     binary_entropy,
     concentration_stat,
@@ -60,7 +51,6 @@ from .tnorm import (
     kkt_membership,
     lower_bound,
     superconvergence_asymptote,
-    support_bounds,
     tnorm_exact,
     tnorm_report,
     upper_bound,
@@ -81,18 +71,12 @@ __all__ = [
     "ScanSummary",
     "TNormReport",
     "ViolationReport",
-    "apply_channel",
-    "apply_complementary",
-    "apply_conjugate_channel",
-    "atoms_of_power",
     "bell_output",
     "binary_entropy",
-    "cauchy_pair",
     "compressed_spectrum",
     "concentration_stat",
     "default_probes",
     "entropy",
-    "f_height",
     "free_power",
     "gap_g",
     "h_transform",
@@ -107,17 +91,13 @@ __all__ = [
     "moments",
     "nevanlinna_rho",
     "phi_overlap",
-    "power_cauchy_pair",
     "power_voiculescu",
     "product_bound",
     "random_channel",
     "sample_output_spectra",
     "scan_violation",
-    "simplex_bounds",
     "superconvergence_asymptote",
-    "support_bounds",
     "support_hull",
-    "taylor_lower_f",
     "tnorm_exact",
     "tnorm_report",
     "upper_bound",

@@ -17,7 +17,7 @@ lower-bounds twice the single-channel entropy by 2*f(k, t) with
 
 The gap g(k, r) = product_bound - 2*f is negative exactly where additivity
 must fail.  One array kernel evaluates it on a (k column, t row) grid; a
-scan is one pass of it and the point functions run it on 1-element arrays.
+scan is one pass of it and `gap_g` runs it on a 1 x 1 grid.
 Near its zero g is a ~1e-12 residue of ~10-sized terms, so the terms are
 summed exactly by two TwoSums (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26,
 2005), error terms last.  Neither slab bound cancels as t -> 1/k: u - 1/k
@@ -101,44 +101,16 @@ def _gap(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return g + (e1 + e2), bound, f
 
 
-def _point(k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+def product_bound(k: int, t: float) -> float:
+    """Upper bound 2*(1-t)*log(k) + h(t) on the product channel's minimum
+    output entropy (asserted for t >= k^-2; smaller t is flagged)."""
     if k < 2:
         raise DomainError("need k >= 2")
     if not 0.0 < t <= 1.0:
         raise DomainError("need t in (0, 1]")
-    return np.array([[float(k)]]), np.array([[float(t)]])
-
-
-def _defined(value: np.ndarray) -> float:
-    # the value of a 1-element kernel result; NaN means f is undefined
-    if math.isnan(value[0, 0]):
-        raise DomainError("slab lower bound vanished (t too close to 1/k); f undefined")
-    return float(value[0, 0])
-
-
-def simplex_bounds(k: int, t: float) -> tuple[float, float]:
-    """(l, u) with l = 1 - phi((k-1)/k, t) and u = phi(1/k, t), both free of
-    cancellation; l vanishes exactly when t = 1/k."""
-    lower, upper = _slab(*_point(k, t))
-    return float(lower[0, 0]), float(upper[0, 0])
-
-
-def taylor_lower_f(k: int, t: float) -> float:
-    """Second-order entropy lower bound f(k, t) for single-channel outputs.
-
-    Requires l_{k,t} > 0; at t = 1/k the slab degenerates (l = 0) and the
-    bound is undefined.
-    """
-    return _defined(_taylor_f(*_point(k, t)))
-
-
-def product_bound(k: int, t: float) -> float:
-    """Upper bound 2*(1-t)*log(k) + h(t) on the product channel's minimum
-    output entropy (asserted for t >= k^-2; smaller t is flagged)."""
-    k_col, t_arr = _point(k, t)
     if t < k**-2.0:
         raise DomainError("the product bound is asserted for t >= 1/k^2")
-    return float(np.add(*_product_terms(k_col, t_arr))[0, 0])
+    return float(np.add(*_product_terms(np.float64(k), np.float64(t))))
 
 
 def hastings_gap(state: QuantumState) -> tuple[float, float]:
@@ -171,7 +143,9 @@ def gap_g(k: int, r: float) -> ViolationReport:
     if not 1.0 <= r < 2.0:
         raise DomainError("need r in [1, 2)")
     t = _t_grid([k], [r])
-    g, bound, f = (_defined(v) for v in _gap(np.array([[float(k)]]), t))
+    g, bound, f = (float(v[0, 0]) for v in _gap(np.array([[float(k)]]), t))
+    if math.isnan(f):
+        raise DomainError("slab lower bound vanished (t too close to 1/k); f undefined")
     return ViolationReport(k=int(k), r=r, t=float(t[0, 0]), g=g, product_bound=bound,
                            single_lower=f, violated=g < 0.0)
 

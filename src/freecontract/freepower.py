@@ -55,7 +55,8 @@ chi(u) = [G(u) < 0]: a sum of weights and a parity count.
 A norm reads only the outer ends of the support, and `support_hull`
 finds them from mu alone, with no rho and no component geometry.  With
 x_j the outermost atom of mu on one side and w_j its weight, that end is
-the atom T*x_j when w_j > 1 - 1/T; otherwise it is h(u) at the root
+T*x_j when w_j >= 1 - 1/T: the power's atom above the tie, and h(x_j) at
+it, where the root below is x_j itself.  Otherwise it is h(u) at the root
 u beyond x_j of psi(u) = F_mu'(u) - 1 = 1/(T-1).  In centred coordinates,
 with the pole-cleared ratios b_i = (u - x_j)/(u - x_i) in [0, 1] (b_j = 1)
 and B = sum_i w_i b_i,
@@ -78,8 +79,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .measures import (NEWTON_TOL, AtomicMeasure, _f_pair, cauchy_pair, moments,
-                       nevanlinna_rho)
+from .measures import NEWTON_TOL, AtomicMeasure, _f_pair, moments, nevanlinna_rho
 from .rootfind import NEWTON_ULPS, bisect, blockwise, bracketed_newton, damped_newton
 
 _MASS_TOL = 1e-6          # atomic + a.c. mass must reproduce 1 this well
@@ -425,44 +425,6 @@ def h_transform(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex, compl
     return kernel.h_pair(z)
 
 
-def f_height(mu: AtomicMeasure, T: float, x: float) -> float:
-    """Boundary height at x (0 outside the positive-height set)."""
-    kernel = _PowerKernel(mu, T)
-    return float(kernel.f_height(np.array([float(x) - kernel.tau]))[0])
-
-
-def atoms_of_power(mu: AtomicMeasure, T: float) -> tuple[tuple[float, float], ...]:
-    """Point masses of the T-th power: (T*x, T*w - (T-1)) where w > 1 - 1/T."""
-    if not 1.0 <= T < math.inf:
-        raise DomainError("powers are defined for finite T >= 1")
-    thr = 1.0 - 1.0 / T
-    return tuple(
-        (T * float(x), T * float(w) - (T - 1.0))
-        for x, w in zip(mu.positions, mu.weights)
-        if w > thr
-    )
-
-
-def _open_upper(z: complex) -> complex:
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("z must lie in the open upper half plane")
-    return z
-
-
-def power_cauchy_pair(mu: AtomicMeasure, T: float, z: complex) -> tuple[complex, complex]:
-    """(G, F) transforms of the T-th power at a point of the upper half plane.
-
-    Solves H(w) = z by damped Newton (analytic continuation of the
-    subordination map off the boundary curve) and evaluates the transforms
-    of mu at w.  Verification utility for the linearization identity; the
-    support machinery never requires it.
-    """
-    kernel = _PowerKernel(mu, T)
-    z = _open_upper(z)
-    return cauchy_pair(mu, kernel.invert_h(z, 1e-12 * max(1.0, abs(z))))
-
-
 def power_voiculescu(mu: AtomicMeasure, T: float, z: complex) -> complex:
     """Inverse transform phi of the T-th power at z, computed through
     subordination (never through the linearization identity).
@@ -473,7 +435,9 @@ def power_voiculescu(mu: AtomicMeasure, T: float, z: complex) -> complex:
     :func:`freecontract.measures.voiculescu_transform`.
     """
     kernel = _PowerKernel(mu, T)
-    z = _open_upper(z)
+    z = complex(z)
+    if z.imag <= 0:
+        raise DomainError("z must lie in the open upper half plane")
 
     def f_pair(w: complex) -> tuple[complex, complex]:
         omega = kernel.invert_h(w, 1e-13 * max(1.0, abs(w)))
@@ -496,8 +460,10 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
 
     The geometry is located and the a.c. masses are counted here: T = 1
     repackages mu and a one-atom measure gives the moved point mass, both
-    with no a.c. part.  Raises ConvergenceError unless the atomic plus a.c.
-    mass reproduces 1 within 1e-6, so no result holds a lost mass.
+    with no a.c. part.  An atom x of weight w > 1 - 1/T survives as
+    (T*x, T*w - (T-1)); at the tie its mass would be 0.  Raises
+    ConvergenceError unless the atomic plus a.c. mass reproduces 1 within
+    1e-6, so no result holds a lost mass.
     """
     _check_power(mu, T)
     kernel = None if T == 1.0 or mu.n_atoms == 1 else _PowerKernel(mu, T)
@@ -507,7 +473,8 @@ def free_power(mu: AtomicMeasure, T: float) -> FreePowerResult:
         comps = tuple(zip((x_lo + kernel.shift).tolist(), (x_hi + kernel.shift).tolist()))
         bt = tuple(zip((u_lo + kernel.tau).tolist(), (u_hi + kernel.tau).tolist()))
         masses = tuple(kernel.masses.tolist())
-    atoms = atoms_of_power(mu, T)
+    atoms = tuple((T * float(x), T * float(w) - (T - 1.0))
+                  for x, w in zip(mu.positions, mu.weights) if w > 1.0 - 1.0 / T)
     ac, atomic = sum(masses), float(sum(m for _, m in atoms))
     if not abs(ac + atomic - 1.0) <= _MASS_TOL:   # a NaN mass fails too
         raise ConvergenceError(f"mass conservation violated: a.c. {ac:.9f} + "
@@ -536,9 +503,11 @@ def hull_end(mu: AtomicMeasure, T: float, side: float) -> float:
     """The right (side = 1.0) or left (side = -1.0) end of `support_hull`,
     solved alone (formulas in the module docstring).
 
-    An end whose outer atom has w_j > 1 - 1/T (the `atoms_of_power` test)
-    is the atom T*x_j: h(x_j) = T*x_j and h increases outside B, so the
-    a.c. support ends inside it.  Otherwise each deviation d_i = b_i - B is
+    An end whose outer atom has w_j > 1 - 1/T is the atom T*x_j that
+    `free_power` keeps: h(x_j) = T*x_j and h increases outside B, so the
+    a.c. support ends inside it.  At the tie w_j = 1 - 1/T the root is x_j
+    itself, since psi(x_j) = (1 - w_j)/w_j = 1/(T-1), and the end is
+    T*x_j exactly.  Otherwise each deviation d_i = b_i - B is
     formed from the smaller pair, b_i - B or A - a_i with a_i = 1 - b_i =
     (x_j - x_i)/(u - x_i) and A = 1 - B, so that no digits cancel when
     every b_i is near 1 (u far out) or near 0 (u next to x_j).
@@ -559,7 +528,7 @@ def hull_end(mu: AtomicMeasure, T: float, side: float) -> float:
     T = float(T)
     w = mu.weights
     j = -1 if side > 0.0 else 0
-    if mu.n_atoms == 1 or w[j] > 1.0 - 1.0 / T:
+    if mu.n_atoms == 1 or w[j] >= 1.0 - 1.0 / T:
         return T * float(mu.positions[j])
     tau, _ = moments(mu)      # refuses a variance past the float range
     x = mu.positions - tau

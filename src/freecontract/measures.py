@@ -1,10 +1,10 @@
 """Finitely atomic measures on the real line and their analytic transforms.
 
 An :class:`AtomicMeasure` is a finite positive combination of point masses;
-probability measures have total mass 1.  The module computes the Cauchy
-transform G(z) = sum_i w_i/(z - x_i) and its reciprocal F = 1/G on the
-upper half plane, the reciprocal-Cauchy remainder measure rho appearing in
-the representation
+probability measures have total mass 1.  With the Cauchy transform
+G(z) = sum_i w_i/(z - x_i) and its reciprocal F = 1/G (evaluated with F'
+by `_f_pair` off the atoms), the module computes the reciprocal-Cauchy
+remainder measure rho appearing in the representation
 
     F(z) = z - mean + sum_j c_j / (b_j - z),
 
@@ -123,25 +123,6 @@ def moments(mu: AtomicMeasure) -> tuple[float, float]:
     if not math.isfinite(variance):
         raise DomainError("the variance overflows: the spectrum is too wide")
     return mean, variance
-
-
-def cauchy_pair(mu: AtomicMeasure, z: complex) -> tuple[complex, complex]:
-    """Cauchy transform G(z) and reciprocal F(z) = 1/G(z).
-
-    Defined for Im z > 0, or for real z strictly outside the convex hull of
-    the atoms.  Real z inside the hull (in particular at an atom) is
-    rejected.
-    """
-    z = complex(z)
-    if z.imag < 0:
-        raise DomainError("transforms are evaluated on the closed upper half plane")
-    if z.imag == 0.0:
-        if mu.n_atoms and mu.positions[0] <= z.real <= mu.positions[-1]:
-            raise DomainError("real evaluation point must lie outside the atom hull")
-    g = complex(np.sum(mu.weights / (z - mu.positions)))
-    if g == 0:
-        raise DomainError("Cauchy transform vanishes at this point; F undefined")
-    return g, 1.0 / g
 
 
 def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
@@ -282,9 +263,16 @@ class HermitianSpec:
     def variance(self) -> float:
         return self._moments[1]
 
-    @property
+    @cached_property
     def sigma(self) -> float:
-        return math.sqrt(self.variance)
+        """2^e * sqrt(sum w*(2^-e*(x - mean))^2), with 2^e the binary
+        exponent of max|x - mean|: the standard deviation, bit for bit
+        wherever the variance is a normal float, and positive for a
+        spread spectrum whose variance underflows."""
+        x = self.eigenvalues - self.mean
+        e = math.frexp(max(-x[0], x[-1]))[1]
+        x = np.ldexp(x, -e)
+        return math.ldexp(math.sqrt(float(self._measure.weights @ (x * x))), e)
 
     @property
     def lminus(self) -> float:

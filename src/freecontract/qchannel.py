@@ -2,19 +2,20 @@
 
 A channel instance is a Haar random isometry V from C^d into C^k (x) C^n
 with d = floor(t*k*n); the channel traces out the n-dimensional
-environment of V X V*, the conjugate channel uses the entrywise conjugate
-of V, and the complementary channel traces out the k factor instead.  For
-the maximally entangled (Bell) input to the product of a channel with its
-conjugate, the top output eigenvalue is at least d/(kn), which caps the
-product channel's minimum output entropy.
+environment of V X V*, and its conjugate channel uses the entrywise
+conjugate of V.  The channel is only ever applied to pure inputs psi,
+whose output is M M* with M the k x n reshape of V psi, and, with its
+conjugate, to the maximally entangled (Bell) input, whose top output
+eigenvalue is at least d/(kn); that caps the product channel's minimum
+output entropy.
 
-Each reader computes only what it uses.  Output sampling draws the input
-stream in chunks of Gram matrices (the k x k output states); spectra come
-from a batched `eigvalsh`, while the concentration statistic reads only
-||lambda - 1/k||_2 = ||rho - I/k||_F and so needs no eigenvalues.  The
-h_min search takes nonmonotone Barzilai-Borwein steps on the unit sphere;
-it evaluates trial points by value alone and forms the gradient only at
-accepted ones.
+Each reader computes only what it uses and does its own contraction.
+Output sampling draws the input stream in chunks of Gram matrices (the
+k x k output states); spectra come from a batched `eigvalsh`, while the
+concentration statistic reads only ||lambda - 1/k||_2 = ||rho - I/k||_F
+and so needs no eigenvalues.  The h_min search takes nonmonotone
+Barzilai-Borwein steps on the unit sphere; it evaluates trial points by
+value alone and forms the gradient only at accepted ones.
 
 All sampling is deterministic in (seed, stream): channel isometries use the
 instance seed, input samples and optimizer restarts use caller-provided
@@ -68,19 +69,6 @@ class QuantumState:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def pure(cls, vector: np.ndarray) -> "QuantumState":
-        v = np.asarray(vector, dtype=complex).ravel()
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise DomainError("cannot normalize the zero vector")
-        v = v / nrm
-        return cls(v.size, np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "QuantumState":
-        return cls(dim, np.eye(dim, dtype=complex) / dim)
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
@@ -118,29 +106,6 @@ def random_channel(k: int, n: int, t: float, seed: int) -> ChannelInstance:
     d = floor_fraction(t, k * n)
     return ChannelInstance(k=k, n=n, t=float(t), d=d,
                            V=haar_columns(k * n, d, seed), seed=int(seed))
-
-
-def _conjugated(ch: ChannelInstance, V: np.ndarray, state: QuantumState) -> np.ndarray:
-    """V X V* as a (k, n, k, n) array, for an input of dimension d."""
-    if state.dim != ch.d:
-        raise DomainError(f"input dimension {state.dim} does not match d = {ch.d}")
-    return (V @ state.matrix @ V.conj().T).reshape(ch.k, ch.n, ch.k, ch.n)
-
-
-def apply_channel(ch: ChannelInstance, state: QuantumState) -> QuantumState:
-    """Trace the environment out of V X V*."""
-    return QuantumState(ch.k, np.einsum("iaja->ij", _conjugated(ch, ch.V, state)))
-
-
-def apply_conjugate_channel(ch: ChannelInstance, state: QuantumState) -> QuantumState:
-    """Same channel with the entrywise-conjugated isometry."""
-    return QuantumState(ch.k, np.einsum("iaja->ij", _conjugated(ch, ch.V.conj(), state)))
-
-
-def apply_complementary(ch: ChannelInstance, state: QuantumState) -> QuantumState:
-    """Trace out the k factor instead; for rank-one inputs the nonzero output
-    spectrum matches the direct channel's."""
-    return QuantumState(ch.n, np.einsum("iaib->ab", _conjugated(ch, ch.V, state)))
 
 
 def bell_output(ch: ChannelInstance) -> QuantumState:

@@ -5,9 +5,10 @@ at compression parameter t in (0, 1] equals t times the largest absolute
 point of the support of the (1/t)-th free convolution power of its
 spectral distribution.  Only the outer ends of that support enter, and
 `freepower.hull_end` finds each from the spectrum alone: with x_j the
-outermost eigenvalue on one side and w_j its weight, the end is the atom
-x_j/t when w_j > 1 - t, and otherwise h(u) at the root u beyond x_j of
-F'(u) - 1 = t/(1 - t), F = 1/G the reciprocal Cauchy transform.  A
+outermost eigenvalue on one side and w_j its weight, the end is x_j/t
+when w_j >= 1 - t (an atom of the power when w_j > 1 - t), and otherwise
+h(u) at the root u beyond x_j of F'(u) - 1 = t/(1 - t), F = 1/G the
+reciprocal Cauchy transform.  A
 spectrum of one sign reads one end, a mixed one both.  The norm
 therefore computes no remainder measure rho and no component geometry.
 Alongside it the module evaluates four closed-form estimates:
@@ -51,15 +52,6 @@ def _check_t(t: float) -> float:
     if not 0.0 < t <= 1.0:
         raise DomainError("compression parameter t must lie in (0, 1]")
     return t
-
-
-def support_bounds(spec: HermitianSpec, T: float) -> tuple[float, float]:
-    """Outer enclosure [x1, x2] of the a.c. support of the T-th power."""
-    if not 1.0 < T < math.inf:
-        raise DomainError("support bounds apply to finite powers T > 1")
-    spread = 2.0 * spec.sigma * math.sqrt(T - 1.0)
-    shift = (T - 1.0) * spec.mean
-    return spec.lminus - spread + shift, spec.lplus + spread + shift
 
 
 def tnorm_exact(spec: HermitianSpec, t: float) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from freecontract.additivity import (
     ScanGrid,
+    _slab,
     contour_segments,
     contour_svg,
     gap_g,
@@ -16,8 +17,6 @@ from freecontract.additivity import (
     product_bound,
     r_grid,
     scan_violation,
-    simplex_bounds,
-    taylor_lower_f,
 )
 from freecontract.errors import DomainError
 from freecontract.qchannel import random_density_matrix
@@ -55,15 +54,17 @@ class TestPhiOverlap:
 
 
 class TestSimplexBounds:
+    # the slab (l, u) of the scan kernel, at one (k, t)
+
     def test_k2_half(self):
-        lo, hi = simplex_bounds(2, 0.5)
+        lo, hi = _slab(2.0, 0.5)
         assert lo == pytest.approx(0.0, abs=1e-15)
         assert hi == pytest.approx(1.0, abs=1e-15)
 
     @given(st.integers(2, 50), st.floats(1e-6, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_range_and_upper_ordering(self, k, t):
-        lo, hi = simplex_bounds(k, t)
+        lo, hi = _slab(float(k), t)
         assert 0.0 <= lo <= 1.0
         assert 1.0 / k - 1e-12 <= hi <= 1.0
 
@@ -72,31 +73,33 @@ class TestSimplexBounds:
     def test_lower_ordering_small_t(self, k, data):
         # the slab encloses the uniform point throughout t <= 1/k
         t = data.draw(st.floats(1e-9, 1.0 / k))
-        lo, _ = simplex_bounds(k, t)
+        lo, _ = _slab(float(k), t)
         assert lo <= 1.0 / k + 1e-12
 
     def test_degenerate_at_inverse_k(self):
         # t = 1/k collapses the lower slab bound: exactly zero when 1/k is
         # binary-representable, rounding dust otherwise
-        lo, _ = simplex_bounds(64, 1.0 / 64.0)
+        lo, _ = _slab(64.0, 1.0 / 64.0)
         assert lo == 0.0
-        lo, _ = simplex_bounds(100, 0.01)
+        lo, _ = _slab(100.0, 0.01)
         assert lo < 1e-30
 
 
 class TestTaylorLowerF:
+    # f(k, t) as `gap_g` reports it, at t = k^-r
+
     def test_degenerate_slab_rejected(self):
-        with pytest.raises(DomainError):
-            taylor_lower_f(2, 0.5)
+        with pytest.raises(DomainError, match="f undefined"):
+            gap_g(2, 1.0)   # t = 1/k: the slab's lower bound is 0
 
     def test_moderate_point_below_log_k(self):
-        value = taylor_lower_f(100, 0.01 * 0.7)   # keep t off 1/k
+        value = gap_g(100, 1.08).single_lower   # keep t off 1/k
         assert value < math.log(100)
         assert math.isfinite(value)
 
     def test_headline_feed(self):
-        t = float(HEADLINE_K) ** (-HEADLINE_R)
-        f_val = taylor_lower_f(HEADLINE_K, t)
+        report = gap_g(HEADLINE_K, HEADLINE_R)
+        t, f_val = report.t, report.single_lower
         g = 2 * (1 - t) * math.log(HEADLINE_K) \
             + (-t * math.log(t) - (1 - t) * math.log(1 - t)) - 2 * f_val
         assert abs(g - HEADLINE_G) < 1e-12
@@ -157,7 +160,7 @@ class TestProductBound:
             product_bound(10, 0.005)
 
 
-@pytest.mark.parametrize("func", [simplex_bounds, taylor_lower_f, product_bound])
+@pytest.mark.parametrize("func", [product_bound])
 @pytest.mark.parametrize("k, t", [(1, 0.5), (0, 0.5), (10, 0.0), (10, 1.5), (10, math.nan)],
                          ids=["k = 1", "k = 0", "t = 0", "t > 1", "nan t"])
 def test_point_functions_check_k_and_t(func, k, t):
@@ -168,7 +171,7 @@ def test_point_functions_check_k_and_t(func, k, t):
 class TestHastingsGap:
     def test_maximally_mixed_is_tight(self):
         from freecontract.qchannel import QuantumState
-        state = QuantumState.maximally_mixed(5)
+        state = QuantumState(5, np.eye(5) / 5)
         lhs, rhs = hastings_gap(state)
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)

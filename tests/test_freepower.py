@@ -7,20 +7,25 @@ import pytest
 from conftest import random_measure, seeded
 from freecontract.errors import ConvergenceError, DomainError
 from freecontract.freepower import (
-    atoms_of_power,
-    f_height,
+    _PowerKernel,
     free_power,
     h_transform,
-    power_cauchy_pair,
     power_voiculescu,
     support_hull,
 )
 from freecontract.measures import (HermitianSpec, make_measure, moments, nevanlinna_rho,
                                    voiculescu_transform)
-from freecontract.tnorm import support_bounds, tnorm_exact
+from freecontract.tnorm import tnorm_exact
 
 SQRT3 = math.sqrt(3.0)
 T_GRID = (1.1, 1.5, 2.0, 4.0, 10.0)
+
+
+def _power_g(mu, T, z):
+    """G of the T-th power at z in the upper half plane: G of mu at the
+    point w of the upper half plane with H(w) = z."""
+    w = _PowerKernel(mu, T).invert_h(z, 1e-12 * max(1.0, abs(z)))
+    return complex(np.sum(mu.weights / (w - mu.positions)))
 
 
 class TestHTransform:
@@ -72,19 +77,23 @@ class TestBSet:
 
 
 class TestFHeight:
+    # the kernel takes centred points; the Bernoulli mean is 0
+
     def test_bernoulli_T4_center(self, bernoulli):
-        assert f_height(bernoulli, 4.0, 0.0) == pytest.approx(SQRT3, abs=1e-12)
+        f = _PowerKernel(bernoulli, 4.0).f_height(np.array([0.0]))
+        assert f[0] == pytest.approx(SQRT3, abs=1e-12)
 
     def test_outside_is_zero(self, bernoulli):
-        assert f_height(bernoulli, 4.0, 5.0) == 0.0
+        assert _PowerKernel(bernoulli, 4.0).f_height(np.array([5.0]))[0] == 0.0
 
     def test_bernoulli_T2_interior(self, bernoulli):
-        assert f_height(bernoulli, 2.0, 0.6) == pytest.approx(0.8, abs=1e-12)
+        f = _PowerKernel(bernoulli, 2.0).f_height(np.array([0.6]))
+        assert f[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_curve_stays_real_under_h(self, bernoulli):
         # H(x + i f(x)) is real wherever f > 0
-        for x in np.linspace(-0.95, 0.95, 9):
-            f = f_height(bernoulli, 2.0, float(x))
+        xs = np.linspace(-0.95, 0.95, 9)
+        for x, f in zip(xs.tolist(), _PowerKernel(bernoulli, 2.0).f_height(xs).tolist()):
             h, _ = h_transform(bernoulli, 2.0, complex(x, f))
             assert abs(h.imag) < 1e-9
 
@@ -362,19 +371,20 @@ def test_answers_do_not_depend_on_the_batch(T):
 
 class TestAtoms:
     def test_bernoulli_T15(self, bernoulli):
-        atoms = atoms_of_power(bernoulli, 1.5)
+        atoms = free_power(bernoulli, 1.5).atoms
         assert len(atoms) == 2
         np.testing.assert_allclose([a[0] for a in atoms], [-1.5, 1.5])
         np.testing.assert_allclose([a[1] for a in atoms], [0.25, 0.25])
 
     def test_bernoulli_T4_none(self, bernoulli):
-        assert atoms_of_power(bernoulli, 4.0) == ()
+        assert free_power(bernoulli, 4.0).atoms == ()
 
     def test_threshold_strict_at_T2(self, bernoulli):
-        assert atoms_of_power(bernoulli, 2.0) == ()
+        # w = 1 - 1/T exactly: the atom's mass would be 0, so none survives
+        assert free_power(bernoulli, 2.0).atoms == ()
 
     def test_point_mass_keeps_full_atom(self):
-        atoms = atoms_of_power(make_measure([(0.4, 1.0)]), 3.0)
+        atoms = free_power(make_measure([(0.4, 1.0)]), 3.0).atoms
         assert atoms == ((pytest.approx(1.2), pytest.approx(1.0)),)
 
     def test_one_atom_power_keeps_exact_unit_mass(self):
@@ -468,16 +478,11 @@ class TestFreePower:
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     @pytest.mark.parametrize("call", [
         lambda mu, T: h_transform(mu, T, 1j),
-        lambda mu, T: f_height(mu, T, 0.0),
-        lambda mu, T: atoms_of_power(mu, T),
-        lambda mu, T: power_cauchy_pair(mu, T, 1j),
+        lambda mu, T: _PowerKernel(mu, T).f_height(np.zeros(1)),
         lambda mu, T: power_voiculescu(mu, T, 10j),
         lambda mu, T: free_power(mu, T),
         lambda mu, T: support_hull(mu, T),
-        lambda mu, T: support_bounds(HermitianSpec(2, np.array([-1.0, 1.0]),
-                                                   np.array([1, 1])), T),
-    ], ids=["h_transform", "f_height", "atoms_of_power", "power_cauchy_pair",
-            "power_voiculescu", "free_power", "support_hull", "support_bounds"])
+    ], ids=["h_transform", "f_height", "power_voiculescu", "free_power", "support_hull"])
     def test_non_finite_T_rejected(self, bernoulli, call, T):
         with pytest.raises(DomainError):
             call(bernoulli, T)
@@ -547,11 +552,6 @@ class TestStructuralInvariants:
                 x2 = mu.positions[-1] + spread + (T - 1) * mean
                 for lo, hi in comps:
                     assert x1 - 1e-9 <= lo and hi <= x2 + 1e-9
-
-    def test_support_bounds_helper_matches(self, bernoulli_spec):
-        x1, x2 = support_bounds(bernoulli_spec, 4.0)
-        assert x1 == pytest.approx(-1 - 2 * SQRT3)
-        assert x2 == pytest.approx(1 + 2 * SQRT3)
 
     def test_rightmost_critical_point_lower_bound(self):
         # for nonnegative measures the rightmost critical point dominates
@@ -686,13 +686,26 @@ class TestSupportHull:
         ([(1.0004936446162191, 0.75), (2.817842615197437, 0.25)], 4.0),
     ])
     def test_root_on_the_atom(self, atoms, T):
-        # an outer weight of exactly 1 - 1/T: the edge root converges onto
-        # x_j itself, where every term must stay finite, and the end is T*x_j
+        # an outer weight of exactly 1 - 1/T: the edge root is x_j itself and
+        # the end is T*x_j, while the other end is solved
         mu = make_measure(atoms)
         lo, hi = support_hull(mu, T)
         assert lo == pytest.approx(T * atoms[0][0], rel=1e-15, abs=0.0)
         geometry = _geometry_hull(free_power(mu, T))
         assert hi == pytest.approx(geometry[1], rel=1e-13, abs=0.0)
+
+    def test_tie_ends_are_exact(self):
+        # w_j = 1 - 1/T exactly: psi(x_j) = 1/(T-1), so the root is x_j and
+        # the end is T*x_j to the bit, where a solve onto x_j can miss it
+        rng = seeded(91, 0)
+        for trial in range(60):
+            T = (2.0, 4.0, 8.0)[trial % 3]
+            rest = rng.dirichlet(np.ones(1 + trial % 5)) / T
+            xs, top = np.sort(rng.uniform(-3.0, 2.0, rest.size)), rng.uniform(2.1, 4.0)
+            mu = make_measure([*zip(xs.tolist(), rest.tolist()), (top, 1.0 - 1.0 / T)])
+            mirror = make_measure([(-x, w) for x, w in mu.atoms])
+            assert support_hull(mu, T)[1] == T * top, (trial, mu.atoms)
+            assert support_hull(mirror, T)[0] == -T * top, (trial, mu.atoms)
 
     @pytest.mark.parametrize("atoms, T, want", [
         ([(-1.0, 0.6), (0.5, 0.1), (2.0, 0.3)], 2.0, (-2.0, None)),
@@ -780,8 +793,8 @@ class TestTransformsSkipComponentLocation:
 
         monkeypatch.setattr(freepower._PowerKernel, "curves", property(refuse))
         freepower.h_transform(bernoulli, 4.0, 0.3 + 0.2j)
-        freepower.f_height(bernoulli, 4.0, 0.5)
-        freepower.power_cauchy_pair(bernoulli, 2.0, 1.0 + 1.5j)
+        freepower._PowerKernel(bernoulli, 4.0).f_height(np.array([0.5]))
+        _power_g(bernoulli, 2.0, 1.0 + 1.5j)
         freepower.power_voiculescu(bernoulli, 2.0, 10j)
 
 
@@ -901,7 +914,8 @@ class TestPowerCauchyPair:
         # the T = 2 power is the arcsine law on [-2, 2], whose Cauchy
         # transform is 1/sqrt(z^2 - 4) with the upper-half-plane branch
         for z in (2j, 1.0 + 1.5j, -0.7 + 0.4j):
-            g, f = power_cauchy_pair(bernoulli, 2.0, z)
+            g = _power_g(bernoulli, 2.0, z)
+            f = 1.0 / g
             root = np.sqrt(complex(z) ** 2 - 4.0)
             if (1.0 / root).imag > 0:
                 root = -root

@@ -11,7 +11,7 @@ from freecontract.errors import ConvergenceError, DomainError
 from freecontract.measures import (
     AtomicMeasure,
     HermitianSpec,
-    cauchy_pair,
+    _f_pair,
     make_measure,
     measure_from_json,
     measure_to_json,
@@ -92,27 +92,24 @@ class TestMoments:
 
 
 class TestCauchyPair:
+    # G and F = 1/G through `_f_pair`; Bernoulli F(z) = z - 1/z, F' = 1 + 1/z^2
+
     def test_bernoulli_at_2i(self, bernoulli):
-        g, f = cauchy_pair(bernoulli, 2j)
-        assert g == pytest.approx(-0.4j, abs=1e-15)
+        f, fp = _f_pair(bernoulli, 2j)
+        assert 1.0 / f == pytest.approx(-0.4j, abs=1e-15)
         assert f == pytest.approx(2.5j, abs=1e-14)
+        assert fp == pytest.approx(0.75, abs=1e-15)
 
     def test_point_mass_at_i(self):
-        g, f = cauchy_pair(make_measure([(0.0, 1.0)]), 1j)
-        assert g == pytest.approx(-1j)
+        f, fp = _f_pair(make_measure([(0.0, 1.0)]), 1j)
+        assert 1.0 / f == pytest.approx(-1j)
         assert f == pytest.approx(1j)
+        assert fp == pytest.approx(1.0)
 
     def test_bernoulli_real_outside_hull(self, bernoulli):
-        g, _ = cauchy_pair(bernoulli, 3.0)
-        assert g == pytest.approx(3.0 / 8.0)
-
-    def test_rejects_atom_hit(self, bernoulli):
-        with pytest.raises(DomainError):
-            cauchy_pair(bernoulli, 1.0)
-
-    def test_rejects_lower_half_plane(self, bernoulli):
-        with pytest.raises(DomainError):
-            cauchy_pair(bernoulli, -1j)
+        f, fp = _f_pair(bernoulli, 3.0)
+        assert 1.0 / f == pytest.approx(3.0 / 8.0)
+        assert fp == pytest.approx(10.0 / 9.0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -121,7 +118,8 @@ class TestCauchyPair:
         rng = seeded(4242, trial)
         mu = random_measure(rng)
         z = complex(rng.uniform(-5, 5), rng.uniform(0.05, 5.0))
-        g, f = cauchy_pair(mu, z)
+        f, _ = _f_pair(mu, z)
+        g = 1.0 / f
         assert g.imag < 0.0
         assert f.imag >= z.imag - 1e-12
 
@@ -196,7 +194,7 @@ class TestNevanlinnaRho:
             rho = nevanlinna_rho(mu)
             for _ in range(20):
                 z = complex(rng.uniform(-4, 4), rng.uniform(0.1, 4.0))
-                _, f = cauchy_pair(mu, z)
+                f, _ = _f_pair(mu, z)
                 recon = z - mean + np.sum(rho.weights / (rho.positions - z))
                 assert abs(f - recon) < 1e-9
 
@@ -210,7 +208,7 @@ class TestVoiculescuTransform:
     def test_bernoulli_roundtrip(self, bernoulli):
         z = 10j
         phi = voiculescu_transform(bernoulli, z)
-        _, f = cauchy_pair(bernoulli, z + phi)
+        f, _ = _f_pair(bernoulli, z + phi)
         assert abs(f - z) < 1e-10
 
     def test_low_point_raises(self, bernoulli):
@@ -233,6 +231,21 @@ class TestHermitianSpec:
         spec = HermitianSpec.from_values([1.0, 0.0, 1.0])
         assert spec.k == 3
         assert list(spec.multiplicities) == [1, 2]
+
+    def test_sigma_keeps_the_bits_of_the_variance(self):
+        for trial in range(50):
+            rng = seeded(61, trial)
+            spec = HermitianSpec.from_values(rng.uniform(-1e3, 1e3, 1 + trial % 9))
+            assert spec.sigma == math.sqrt(spec.variance)
+
+    @pytest.mark.parametrize("values, want", [([-1e-170, 1e-170], 1e-170),
+                                              ([0.0, 1e-170], 5e-171)],
+                             ids=["+-1e-170", "0 and 1e-170"])
+    def test_sigma_of_a_tiny_spectrum(self, values, want):
+        # the variance underflows to 0 or a subnormal; sigma does not
+        spec = HermitianSpec(2, np.array(values), np.array([1, 1]))
+        assert spec.variance < 2.3e-308
+        assert spec.sigma == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_multiplicity_sum_enforced(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from freecontract.additivity import product_bound
+from freecontract.additivity import _slab, product_bound
 from freecontract.errors import DomainError
 from freecontract.qchannel import (
     ChannelInstance,
@@ -11,9 +11,7 @@ from freecontract.qchannel import (
     _descend,
     _entropy_gradient,
     _entropy_value,
-    apply_channel,
-    apply_complementary,
-    apply_conjugate_channel,
+    _output_grams,
     bell_output,
     binary_entropy,
     concentration_radius,
@@ -21,18 +19,12 @@ from freecontract.qchannel import (
     entropy,
     hmin_estimate,
     random_channel,
-    random_density_matrix,
     sample_output_spectra,
 )
 from freecontract.rng import STREAM_RESTART_BASE, complex_normal, stream
 from freecontract.tnorm import default_probes, kkt_membership
-from freecontract.additivity import simplex_bounds
 
 LOG2 = math.log(2.0)
-
-
-def _random_state(dim, seed):
-    return random_density_matrix(dim, stream(seed, 0))
 
 
 def _reference_hmin(ch, restarts, seed):
@@ -106,73 +98,59 @@ class TestChannelConstruction:
 
     def test_scalar_channel(self):
         ch = random_channel(1, 4, 1.0, seed=2)
-        out = apply_channel(ch, QuantumState.maximally_mixed(ch.d))
-        assert out.dim == 1
-        assert out.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        spectra = sample_output_spectra(ch, 5, seed=3)
+        assert spectra.shape == (5, 1)
+        np.testing.assert_allclose(spectra, 1.0, atol=1e-12)
 
 
 class TestApplyChannel:
+    # the channel applied to pure inputs, as the readers contract V with them
+
     def test_unitary_case_fixes_mixed_state(self):
-        # t = 1 makes V unitary, so the normalized identity maps to itself
+        # t = 1 makes V unitary, so the outputs of a basis average to I/k
         ch = random_channel(2, 3, 1.0, seed=3)
-        out = apply_channel(ch, QuantumState.maximally_mixed(ch.d))
-        np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
+        mats = [_entropy_value(ch, e)[1][0] for e in np.eye(ch.d, dtype=complex)]
+        mixed = sum(m @ m.conj().T for m in mats) / ch.d
+        np.testing.assert_allclose(mixed, np.eye(2) / 2, atol=1e-12)
 
     def test_rank_one_outputs_valid(self):
         ch = random_channel(3, 5, 0.5, seed=9)
-        rng = stream(10, 1)
-        for _ in range(5):
-            psi = complex_normal(rng, ch.d)
-            out = apply_channel(ch, QuantumState.pure(psi))
-            lam = out.eigenvalues()
+        for gram in next(_output_grams(ch, 5, seed=10)):
+            lam = QuantumState(ch.k, gram).eigenvalues()
             assert abs(lam.sum() - 1.0) < 1e-10
             assert lam[0] > -1e-10
 
-    def test_dimension_mismatch(self):
-        ch = random_channel(2, 4, 0.5, seed=0)
-        with pytest.raises(DomainError):
-            apply_channel(ch, QuantumState.maximally_mixed(ch.d + 1))
-
 
 class TestConjugateChannel:
+    # the conjugate channel is the instance whose isometry is conj(V)
+
+    @staticmethod
+    def _conjugate(ch):
+        return ChannelInstance(k=ch.k, n=ch.n, t=ch.t, d=ch.d, V=ch.V.conj(), seed=ch.seed)
+
     def test_real_isometry_fixed_point(self):
-        # with a real isometry the conjugate channel acts identically
+        # with a real isometry the conjugate channel acts identically, so the
+        # Bell output is real and symmetric under exchanging its two factors
         k, n, d = 2, 3, 4
-        v = np.zeros((k * n, d))
-        v[:d, :d] = np.eye(d)
-        ch = ChannelInstance(k=k, n=n, t=d / (k * n), d=d, V=v, seed=0)
-        state = _random_state(d, 4)
-        out1 = apply_channel(ch, state)
-        out2 = apply_conjugate_channel(ch, state)
-        np.testing.assert_allclose(out1.matrix, out2.matrix, atol=1e-12)
+        v = np.linalg.qr(np.random.default_rng(4).normal(size=(k * n, d)))[0]
+        rho = bell_output(ChannelInstance(k=k, n=n, t=d / (k * n), d=d, V=v, seed=0)).matrix
+        swapped = rho.reshape(k, k, k, k).transpose(1, 0, 3, 2).reshape(k * k, k * k)
+        assert np.max(np.abs(rho.imag)) <= 1e-15
+        np.testing.assert_allclose(swapped, rho, atol=1e-15)
 
     def test_spectra_conjugation_equivariance(self):
         ch = random_channel(3, 6, 0.4, seed=6)
-        state = _random_state(ch.d, 5)
-        conj_state = QuantumState(ch.d, state.matrix.conj())
-        lam1 = apply_channel(ch, state).eigenvalues()
-        lam2 = apply_conjugate_channel(ch, conj_state).eigenvalues()
-        np.testing.assert_allclose(lam1, lam2, atol=1e-10)
+        rho, rho_conj = bell_output(ch), bell_output(self._conjugate(ch))
+        np.testing.assert_allclose(rho_conj.matrix, rho.matrix.conj(), atol=1e-15)
+        np.testing.assert_allclose(rho_conj.eigenvalues(), rho.eigenvalues(), atol=1e-10)
 
     def test_entropy_matches_on_matched_inputs(self):
         ch = random_channel(3, 6, 0.4, seed=8)
-        rng = stream(12, 1)
-        psi = complex_normal(rng, ch.d)
-        h1 = entropy(apply_channel(ch, QuantumState.pure(psi)))
-        h2 = entropy(apply_conjugate_channel(ch, QuantumState.pure(psi.conj())))
+        psi = complex_normal(stream(12, 1), ch.d)
+        psi /= np.linalg.norm(psi)
+        h1 = _entropy_value(ch, psi)[0]
+        h2 = _entropy_value(self._conjugate(ch), psi.conj())[0]
         assert h1 == pytest.approx(h2, abs=1e-10)
-
-
-class TestComplementary:
-    def test_rank_one_shares_nonzero_spectrum(self):
-        ch = random_channel(3, 7, 0.3, seed=13)
-        rng = stream(14, 1)
-        psi = complex_normal(rng, ch.d)
-        state = QuantumState.pure(psi)
-        lam_direct = np.sort(apply_channel(ch, state).eigenvalues())[::-1]
-        lam_comp = np.sort(apply_complementary(ch, state).eigenvalues())[::-1]
-        m = min(ch.k, ch.n)
-        np.testing.assert_allclose(lam_direct[:m], lam_comp[:m], atol=1e-9)
 
 
 class TestBellOutput:
@@ -188,6 +166,16 @@ class TestBellOutput:
         assert ch.t_effective == pytest.approx(0.5)
         assert entropy(out) <= 2 * LOG2 + 1e-9
         assert entropy(out) <= product_bound(ch.k, ch.t_effective) + 1e-9
+
+    @pytest.mark.parametrize("k, n, t", [(2, 3, 0.5), (3, 2, 0.7), (2, 4, 0.25)])
+    def test_matches_the_conjugate_channel_definition(self, k, n, t):
+        # (channel (x) conjugate)(|b><b|), b = sum_l e_l (x) e_l / sqrt(d):
+        # apply V (x) conj(V) to b, then trace out both environments
+        ch = random_channel(k, n, t, seed=k * n)
+        out = (np.kron(ch.V, ch.V.conj()) @ np.eye(ch.d).ravel()) / math.sqrt(ch.d)
+        out = out.reshape(k, n, k, n)
+        rho = np.einsum("iaxb,jayb->ixjy", out, out.conj()).reshape(k * k, k * k)
+        np.testing.assert_allclose(bell_output(ch).matrix, rho, atol=1e-13)
 
     def test_scalar_channel(self):
         ch = random_channel(1, 4, 0.5, seed=1)
@@ -267,7 +255,7 @@ class TestOutputSpectra:
         # eigenvalue slab up to delta = 0.05
         ch = random_channel(2, 300, 0.5, seed=5)
         spectra = sample_output_spectra(ch, 300, seed=6)
-        lo, hi = simplex_bounds(2, ch.t_effective)
+        lo, hi = _slab(2.0, ch.t_effective)
         assert spectra.min() >= lo - 0.05
         assert spectra.max() <= hi + 0.05
 
@@ -398,7 +386,8 @@ class TestHminEstimate:
         grad = _entropy_gradient(ch.V.conj().T, terms)
 
         def h_at(x):
-            return entropy(apply_channel(ch, QuantumState.pure(x)))
+            m = (ch.V @ (x / np.linalg.norm(x))).reshape(ch.k, ch.n)
+            return entropy(QuantumState(ch.k, m @ m.conj().T))
 
         assert value == pytest.approx(h_at(psi), abs=1e-12)
         eps = 1e-5

@@ -149,6 +149,17 @@ class TestUpperBound:
         assert exact == pytest.approx(1e8 + (2.0 + SQRT3) / 4.0, abs=1e-6)
         assert upper_bound(spec, 0.25)[0] >= exact
 
+    @pytest.mark.parametrize("values", [[-1e-170, 1e-170], [0.0, 1e-170]],
+                             ids=["+-1e-170", "0 and 1e-170"])
+    def test_tiny_spectrum_bounds_hold(self, values):
+        # the variance underflows; sigma, scaled by a power of two, does not
+        spec = HermitianSpec(2, np.array(values), np.array([1, 1]))
+        report = tnorm_report(spec, 0.25)
+        assert report.upper >= report.exact > 0.0
+        assert report.asymptote > 0.0
+        if report.lower is not None:
+            assert report.lower <= report.exact
+
     def test_dominated_flag_threshold(self):
         # multiplicity 2 of 4 dominates iff 2 > 4(1-t), i.e. t > 1/2
         spec = HermitianSpec(4, np.array([0.0, 1.0, 2.0]),
