@@ -519,10 +519,9 @@ def hull_end(mu: AtomicMeasure, T: float, side: float) -> float:
     `bracketed_newton`; the left end is the right end of the mirrored
     measure.  The end is h(u) with the deviations taken relative to B
     (d_i/B and A/B), which stay finite when B^2 underflows next to a
-    light atom.  mu is scaled by 2^-e, with 2^e the binary exponent of
-    its widest distance from the mean, and the end scaled back, so that
-    var*(T-1) cannot overflow nor the variance of a tiny spectrum
-    underflow; scaling by a power of two changes no other bit.
+    light atom.  It is solved on `mu.centred` (mu centred and scaled by
+    2^-e) and scaled back, so that var*(T-1) cannot overflow nor the
+    variance of a tiny spectrum underflow.
     """
     _check_power(mu, T)
     T = float(T)
@@ -530,11 +529,7 @@ def hull_end(mu: AtomicMeasure, T: float, side: float) -> float:
     j = -1 if side > 0.0 else 0
     if mu.n_atoms == 1 or w[j] >= 1.0 - 1.0 / T:
         return T * float(mu.positions[j])
-    tau, _ = moments(mu)      # refuses a variance past the float range
-    x = mu.positions - tau
-    e = math.frexp(max(-x[0], x[-1]))[1]
-    x = np.ldexp(x, -e)
-    var = float(w @ (x * x))
+    tau, e, x, var = mu.centred
     # mirrored for the left end so that the outer atom x_j is last; the
     # sums run over the other atoms and add x_j's terms apart (a_j = 0,
     # b_j = 1), which keeps them finite at u = x_j

@@ -11,6 +11,9 @@ remainder measure rho appearing in the representation
 whose atoms b_j are the real zeros of G (interlacing the poles) with
 residue weights c_j = -1/G'(b_j) summing to the variance, and the inverse
 transform phi(z) = F^{-1}(z) - z used only as a verification utility.
+`AtomicMeasure.centred` centres and scales by a power of two for moments,
+sigma, hull ends and the moment bound (the power kernel and rho centre on
+their own).  Positions within MERGE_TOL relative of each other are one atom.
 
 :class:`HermitianSpec` describes a Hermitian matrix by its distinct
 eigenvalues and multiplicities; its normalized spectral distribution is the
@@ -30,9 +33,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .rootfind import bisect, blockwise, damped_newton
 
-MERGE_TOL = 1e-12   # positions closer than this collapse to one atom
+MERGE_TOL = 1e-12   # positions closer than this, relative, collapse to one atom
 MASS_TOL = 1e-12    # a probability measure has total mass 1 within this
 NEWTON_TOL = 1e-12  # residual at which the inverse transforms stop
+_TOO_WIDE = "the variance overflows: the spectrum is too wide"
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class AtomicMeasure:
         if pos.size:
             if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(wts)):
                 raise DomainError("atom positions and weights must be finite")
-            if np.any(np.diff(pos) <= 0):
+            if np.any(pos[1:] <= pos[:-1]):
                 raise DomainError("atom positions must be strictly increasing")
             if np.any(wts <= 0):
                 raise DomainError("atom weights must be positive")
@@ -74,13 +78,32 @@ class AtomicMeasure:
     def is_probability(self) -> bool:
         return abs(self.total_mass - 1.0) <= MASS_TOL
 
+    @cached_property
+    def centred(self) -> tuple[float, int, np.ndarray, float]:
+        """(mean, e, x, v): x = 2^-e*(positions - mean), with 2^e the binary
+        exponent of max|positions - mean| (refused from 2^1023), v = sum w*x^2.
+        The scaling changes no bit where no value is subnormal, and keeps v
+        positive where the variance underflows and finite where it overflows."""
+        if not self.is_probability():
+            raise DomainError("moments are defined for probability measures (total mass 1)")
+        mean = float(self.weights @ self.positions)
+        with np.errstate(over="ignore"):
+            x = self.positions - mean
+        widest = max(-x[0], x[-1])
+        if not widest < 2.0 ** 1023:   # e <= 1023, so 2.0**e is a float
+            raise DomainError(_TOO_WIDE)
+        e = math.frexp(widest)[1]
+        x = np.ldexp(x, -e)
+        x.flags.writeable = False
+        return mean, e, x, float(self.weights @ (x * x))
+
 
 def make_measure(pairs: Iterable[tuple[float, float]]) -> AtomicMeasure:
     """Build an AtomicMeasure from (position, weight) pairs.
 
-    Positions within ``MERGE_TOL`` of each other are merged with their
-    weights summed; the result is sorted by position.  Non-positive weights
-    and empty input are rejected.
+    Positions within ``MERGE_TOL`` of each other, relative to their
+    magnitude, are merged with their weights summed; the result is sorted
+    by position.  Non-positive weights and empty input are rejected.
     """
     pairs = list(pairs)
     if not pairs:
@@ -97,11 +120,11 @@ def make_measure(pairs: Iterable[tuple[float, float]]) -> AtomicMeasure:
 
 
 def _merge_sorted(pos: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted positions within MERGE_TOL of the first one of their run
-    merge into it, with their weights summed."""
-    merged_pos, merged_wts = [pos[0]], [wts[0]]
-    for p, w in zip(pos[1:], wts[1:]):
-        if p - merged_pos[-1] <= MERGE_TOL:
+    """Sorted positions within MERGE_TOL times the larger magnitude of the
+    first one of their run merge into it, with their weights summed."""
+    merged_pos, merged_wts = pos[:1].tolist(), wts[:1].tolist()
+    for p, w in zip(pos[1:].tolist(), wts[1:].tolist()):
+        if p - merged_pos[-1] <= MERGE_TOL * max(abs(p), abs(merged_pos[-1])):
             merged_wts[-1] += w
         else:
             merged_pos.append(p)
@@ -110,19 +133,13 @@ def _merge_sorted(pos: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def moments(mu: AtomicMeasure) -> tuple[float, float]:
-    """Mean and variance of a probability measure.
-
-    The variance is the centred sum of w*(x - mean)^2, which keeps its
-    digits when the mean is large against the spread.
-    """
-    if not mu.is_probability():
-        raise DomainError("moments are defined for probability measures (total mass 1)")
-    mean = float(mu.weights @ mu.positions)
-    with np.errstate(over="ignore"):
-        variance = float(mu.weights @ (mu.positions - mean) ** 2)
-    if not math.isfinite(variance):
-        raise DomainError("the variance overflows: the spectrum is too wide")
-    return mean, variance
+    """Mean and the centred variance sum w*(x - mean)^2, scaled back from
+    `AtomicMeasure.centred`: it keeps its digits at a large mean."""
+    mean, e, _, v = mu.centred
+    try:
+        return mean, math.ldexp(v, 2 * e)
+    except OverflowError:
+        raise DomainError(_TOO_WIDE) from None
 
 
 def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
@@ -138,8 +155,6 @@ def nevanlinna_rho(mu: AtomicMeasure) -> AtomicMeasure:
     gap cleared, in coordinates centred at the mean (so an offset spectrum
     keeps its digits); only the returned positions are shifted back.
     """
-    if not mu.is_probability():
-        raise DomainError("rho is defined for probability measures")
     mean, variance = moments(mu)
     xs, ws = mu.positions - mean, mu.weights
 
@@ -222,7 +237,7 @@ class HermitianSpec:
             raise DomainError("eigenvalues and multiplicities must be matching 1-d arrays")
         if not np.all(np.isfinite(xi)):
             raise DomainError("eigenvalues must be finite")
-        if np.any(np.diff(xi) <= 0):
+        if np.any(xi[1:] <= xi[:-1]):
             raise DomainError("eigenvalues must be strictly increasing")
         if np.any(mult < 1):
             raise DomainError("multiplicities must be positive integers")
@@ -235,7 +250,7 @@ class HermitianSpec:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "HermitianSpec":
-        """Spec of diag(values): duplicates within MERGE_TOL become multiplicities."""
+        """Spec of diag(values): values within MERGE_TOL relative become multiplicities."""
         vals = np.sort(np.asarray(values, dtype=float))
         if vals.size == 0:
             raise DomainError("need at least one eigenvalue")
@@ -251,28 +266,20 @@ class HermitianSpec:
     def _measure(self) -> AtomicMeasure:
         return AtomicMeasure(self.eigenvalues, self.multiplicities / self.k)
 
-    @cached_property
-    def _moments(self) -> tuple[float, float]:
-        return moments(self._measure)
-
     @property
     def mean(self) -> float:
-        return self._moments[0]
+        return moments(self._measure)[0]
 
     @property
     def variance(self) -> float:
-        return self._moments[1]
+        return moments(self._measure)[1]
 
-    @cached_property
+    @property
     def sigma(self) -> float:
-        """2^e * sqrt(sum w*(2^-e*(x - mean))^2), with 2^e the binary
-        exponent of max|x - mean|: the standard deviation, bit for bit
-        wherever the variance is a normal float, and positive for a
-        spread spectrum whose variance underflows."""
-        x = self.eigenvalues - self.mean
-        e = math.frexp(max(-x[0], x[-1]))[1]
-        x = np.ldexp(x, -e)
-        return math.ldexp(math.sqrt(float(self._measure.weights @ (x * x))), e)
+        """2^e * sqrt(v) of `AtomicMeasure.centred`: the standard deviation,
+        bit for bit where the variance is normal, positive where it underflows."""
+        _, e, _, v = self._measure.centred
+        return math.ldexp(math.sqrt(v), e)
 
     @property
     def lminus(self) -> float:
@@ -282,26 +289,9 @@ class HermitianSpec:
     def lplus(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def scaled(self, factor: float) -> "HermitianSpec":
-        """Spec of factor*a (eigenvalue order flips for negative factors)."""
-        if factor == 0:
-            raise DomainError("scaling factor must be nonzero")
-        xi = self.eigenvalues * factor
-        mult = self.multiplicities
-        if factor < 0:
-            xi, mult = xi[::-1], mult[::-1]
-        return HermitianSpec(self.k, xi.copy(), mult.copy())
-
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-
-def _require_finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite, got {value!r}")
-    return value
 
 
 def _require_int(value, what: str) -> int:
@@ -318,10 +308,7 @@ def measure_to_json(mu: AtomicMeasure) -> dict:
 def measure_from_json(obj: dict) -> AtomicMeasure:
     try:
         atoms = obj["atoms"]
-        pairs = [(_require_finite(a["x"], "atom position"),
-                  _require_finite(a["w"], "atom weight")) for a in atoms]
-    except DomainError:   # a ValueError whose message is already the answer
-        raise
+        pairs = [(float(a["x"]), float(a["w"])) for a in atoms]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed measure JSON: {exc}") from exc
     return make_measure(pairs)
@@ -343,9 +330,9 @@ def spec_to_json(spec: HermitianSpec) -> dict:
 def spec_from_json(obj: dict) -> HermitianSpec:
     try:
         k = _require_int(obj["k"], "dimension k")
-        xi = [_require_finite(e["xi"], "eigenvalue") for e in obj["eigs"]]
+        xi = [float(e["xi"]) for e in obj["eigs"]]
         mult = np.array([_require_int(e["d"], "multiplicity d") for e in obj["eigs"]], int)
-    except DomainError:
+    except DomainError:   # a ValueError whose message is already the answer
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed spec JSON: {exc}") from exc

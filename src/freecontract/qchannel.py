@@ -29,7 +29,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -125,21 +125,11 @@ def bell_output(ch: ChannelInstance) -> QuantumState:
     return QuantumState(ch.k**2, rho)
 
 
-def entropy(state_or_vector: Union[QuantumState, np.ndarray], p: float = 1.0) -> float:
-    """Renyi-p entropy of a state's spectrum (p = 1: von Neumann), natural log."""
-    if not 0.0 < p < math.inf:   # NaN fails too
-        raise DomainError("entropy order p must be positive and finite")
-    if isinstance(state_or_vector, QuantumState):
-        lam = state_or_vector.eigenvalues()
-    else:
-        lam = np.asarray(state_or_vector, dtype=float).ravel()
-        if np.any(lam < -1e-9) or abs(float(lam.sum()) - 1.0) > 1e-9:
-            raise DomainError("vector is not a probability vector")
-    lam = np.clip(lam, 0.0, None)
-    if abs(p - 1.0) <= 1e-12:
-        pos = lam[lam > 0.0]
-        return float(-np.sum(pos * np.log(pos)))
-    return float(np.log(np.sum(lam**p)) / (1.0 - p))
+def entropy(state: QuantumState) -> float:
+    """Von Neumann entropy of a state's spectrum, natural log."""
+    lam = state.eigenvalues()
+    pos = lam[lam > 0.0]
+    return float(-np.sum(pos * np.log(pos)))
 
 
 def binary_entropy(t):

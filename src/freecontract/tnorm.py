@@ -112,18 +112,18 @@ def lower_bound(spec: HermitianSpec, t: float, L: float) -> float:
 
 def kargin_bound(spec: HermitianSpec, t: float) -> float:
     """Moment bound mean + 2*sqrt(t)*sigma + 5t*||a-mean||^3/variance (t = 1/n
-    only); DomainError where it overflows."""
+    only), its last term scaled from `AtomicMeasure.centred`; DomainError past the range."""
     t = _check_t(t)
     n = round(1.0 / t)
     if n < 1 or abs(1.0 / t - n) > 1e-9:
         raise DomainError("the moment bound is asserted only at t = 1/n")
-    if spec.variance <= 0.0:
+    mean, e, x, v = spec.measure().centred
+    if v <= 0.0:
         raise DomainError("the moment bound degenerates at zero variance")
-    centered_norm = float(np.max(np.abs(spec.eigenvalues - spec.mean)))
+    c = float(np.max(np.abs(x)))
     try:
-        bound = spec.mean + 2.0 * math.sqrt(t) * spec.sigma \
-            + 5.0 * t * centered_norm**3 / spec.variance
-    except OverflowError:   # from the cube; a product past the range is inf
+        bound = mean + 2.0 * math.sqrt(t) * spec.sigma + math.ldexp(5.0 * t * c**3 / v, e)
+    except OverflowError:   # from ldexp; a sum past the range is inf
         bound = math.inf
     if not math.isfinite(bound):
         raise DomainError("the moment bound overflows")

@@ -43,8 +43,9 @@ class TestTnormCommand:
         assert lines[0] == "t,exact,upper,lower,kargin,asymptote,atom_dominated"
         assert len(lines) == 2
 
-    def test_overflowing_moment_bound_is_null(self, tmp_path):
-        # ||a - mean||^3 = 1e309 overflows; the other estimates stand
+    def test_a_wide_spectrum_writes_its_moment_bound(self, tmp_path):
+        # ||a - mean||^3 = 1e309 is past the float range; the moment bound
+        # sqrt(2)*1e103 + 2.5e103, formed on the scaled spectrum, is not
         spec = tmp_path / "wide.json"
         spec.write_text(json.dumps(
             {"k": 2, "eigs": [{"xi": -1e103, "d": 1}, {"xi": 1e103, "d": 1}]}))
@@ -52,7 +53,8 @@ class TestTnormCommand:
         assert main(["tnorm", "--spec", str(spec), "--t", "0.5", "--all-bounds",
                      "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
-        assert obj["kargin"] is None
+        assert obj["kargin"] == pytest.approx(math.sqrt(2.0) * 1e103 + 2.5e103,
+                                              rel=1e-12, abs=0.0)
         assert obj["exact"] == pytest.approx(1e103, rel=1e-12)
         assert obj["exact"] <= obj["upper"] < math.inf
 
@@ -183,8 +185,12 @@ class TestMalformedInputs:
          {"k": 2, "eigs": [{"xi": -1e155, "d": 1}, {"xi": 1e155, "d": 1}]}),
         (["measure", "rho", "--measure"],
          {"atoms": [{"x": -1e155, "w": 0.5}, {"x": 1e155, "w": 0.5}]}),
+        # 1e308 from the mean is past 2^1023: the hull end is not scaled back
+        (["tnorm", "--t", "0.25", "--spec"],
+         {"k": 2, "eigs": [{"xi": -1e308, "d": 1}, {"xi": 1e308, "d": 1}]}),
     ], ids=["fractional d", "fractional k", "non-numeric xi", "non-numeric x", "huge d",
-            "overflowing spec variance", "overflowing measure variance"])
+            "overflowing spec variance", "overflowing measure variance",
+            "spec past 2**1023"])
     def test_exit_2_with_an_error_line(self, argv, text, tmp_path, capsys):
         path, out = tmp_path / "input.json", tmp_path / "never.json"
         path.write_text(json.dumps(text))

@@ -213,8 +213,7 @@ class TestOneComponentPerCurve:
     # absolute tolerance joins two, so the geometry scales with the measure
 
     def test_scale_covariance(self):
-        # powers of two scale every operation exactly; below ~1e-12
-        # make_measure would merge the atoms themselves
+        # powers of two scale every operation exactly
         base = [(0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]
         ref = free_power(make_measure(base), 1.05)
         assert len(ref.support_components) == 2
@@ -225,6 +224,15 @@ class TestOneComponentPerCurve:
             assert got.bt_components == tuple(
                 (s * lo, s * hi) for lo, hi in ref.bt_components)
             assert got.ac_masses == ref.ac_masses
+
+    def test_a_tiny_two_point_measure_keeps_both_atoms(self):
+        # 2e-13 apart, far apart against their magnitude: the power at T = 4
+        # is one component +-2*sqrt(3)*1e-13 and no atom at -4e-13
+        result = free_power(make_measure([(-1e-13, 0.5), (1e-13, 0.5)]), 4.0)
+        assert result.atoms == ()
+        ((lo, hi),) = result.support_components
+        want = 2.0 * SQRT3 * 1e-13
+        assert (lo, hi) == pytest.approx((-want, want), rel=1e-12, abs=0.0)
 
     def test_components_that_nearly_touch_stay_apart(self):
         # just below the split threshold T = 1.5 the two images are

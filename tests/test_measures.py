@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_measure, seeded
 from freecontract.errors import ConvergenceError, DomainError
+from freecontract.freepower import support_hull
 from freecontract.measures import (
     AtomicMeasure,
     HermitianSpec,
@@ -53,6 +54,20 @@ class TestMakeMeasure:
         mu = make_measure([(1.0, 0.5), (1.0 + 1e-13, 0.5)])
         assert mu.n_atoms == 1
 
+    def test_merge_is_relative_to_the_position(self):
+        # 2e-13 and 2e-170 apart: far apart against their own magnitude
+        assert make_measure([(-1e-13, 0.5), (1e-13, 0.5)]).n_atoms == 2
+        spec = HermitianSpec.from_values([1e-170, -1e-170])
+        assert spec.eigenvalues.tolist() == [-1e-170, 1e-170]
+        assert spec.multiplicities.tolist() == [1, 1]
+
+    def test_merge_at_an_offset(self):
+        # the rule reads |x|, not the spread: 1e-7 apart at 1e6 is 1e-13
+        # relative and merges, 1e-15 apart next to 0 does not
+        offset = make_measure([(1e6, 0.5), (1e6 + 1e-7, 0.5)])
+        assert offset.positions.tolist() == [1e6] and offset.weights.tolist() == [1.0]
+        assert make_measure([(0.0, 0.5), (1e-15, 0.5)]).n_atoms == 2
+
 
 class TestMoments:
     def test_bernoulli(self, bernoulli):
@@ -80,6 +95,38 @@ class TestMoments:
         heavy = AtomicMeasure(np.array([0.0]), np.array([2.0]))
         with pytest.raises(DomainError):
             moments(heavy)
+
+    def test_bits_of_the_direct_centred_sum(self):
+        # centred and scaled by a power of two, then scaled back: the bits
+        # of w @ (x - mean)^2 wherever the variance is a normal float
+        for trial in range(500):
+            rng = seeded(67, trial)
+            m = int(rng.integers(1, 257))
+            spread = 10.0 ** rng.uniform(-3.0, 3.0)
+            pos = np.unique(rng.uniform(-1e6, 1e6) + spread * rng.normal(size=m))
+            mu = AtomicMeasure(pos, rng.dirichlet(np.ones(pos.size)))
+            mean = float(mu.weights @ mu.positions)
+            assert moments(mu) == (mean, float(mu.weights @ (mu.positions - mean) ** 2))
+
+    def test_a_centring_past_the_float_range_is_refused(self):
+        # x - mean overflows to -inf: no moment and no hull end is formed
+        # from an infinite position
+        wide = make_measure([(-1.7e308, 0.01), (1.7e308, 0.99)])
+        for call in (moments, lambda mu: support_hull(mu, 2.0)):
+            with pytest.raises(DomainError, match="variance overflows"):
+                call(wide)
+
+    def test_a_spread_from_2_1023_is_refused(self):
+        # 2^e would overflow in scaling the hull end back; just below it
+        # the ends +-2*sqrt(3)*5e307 are floats
+        with pytest.raises(DomainError, match="variance overflows"):
+            support_hull(make_measure([(-1e308, 0.5), (1e308, 0.5)]), 4.0)
+        lo, hi = support_hull(make_measure([(-5e307, 0.5), (5e307, 0.5)]), 4.0)
+        assert -lo == hi == pytest.approx(2.0 * math.sqrt(3.0) * 5e307, rel=1e-12)
+
+    def test_centred_is_read_only(self, bernoulli):
+        with pytest.raises(ValueError):
+            bernoulli.centred[2][0] = 0.0
 
     def test_overflowing_variance_refused(self):
         # (1e155)^2 is past the float range: no ratio to the variance can

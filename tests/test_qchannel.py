@@ -194,24 +194,12 @@ class TestBellOutput:
 
 
 class TestEntropy:
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
-    def test_uniform_vector(self, p):
-        assert entropy(np.full(4, 0.25), p) == pytest.approx(math.log(4), abs=1e-12)
+    def test_uniform_state(self):
+        state = QuantumState(4, np.diag(np.full(4, 0.25)))
+        assert entropy(state) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_pure_state(self):
-        assert entropy(np.array([1.0, 0.0, 0.0])) == 0.0
-
-    def test_renyi_two(self):
-        assert entropy(np.array([0.5, 0.5]), 2.0) == pytest.approx(LOG2, abs=1e-12)
-
-    def test_invalid_order(self):
-        with pytest.raises(DomainError):
-            entropy(np.array([1.0]), 0.0)
-
-    @pytest.mark.parametrize("p", [math.inf, math.nan])
-    def test_order_must_be_finite(self, p):
-        with pytest.raises(DomainError):
-            entropy(np.array([0.5, 0.5]), p)
+        assert entropy(QuantumState(3, np.diag([1.0, 0.0, 0.0]))) == 0.0
 
     def test_binary_entropy_half(self):
         assert binary_entropy(0.5) == pytest.approx(LOG2)

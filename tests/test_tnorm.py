@@ -7,7 +7,7 @@ from conftest import random_nonneg_spec, seeded
 from freecontract import tnorm
 from freecontract.errors import ConvergenceError, DomainError
 from freecontract.freepower import support_hull
-from freecontract.measures import HermitianSpec
+from freecontract.measures import AtomicMeasure, HermitianSpec
 from freecontract.tnorm import (
     default_probes,
     kargin_bound,
@@ -47,7 +47,8 @@ class TestExactNorm:
     def test_scale_equivariance(self, c):
         spec = HermitianSpec.from_values([0.2, 0.9, 1.7])
         for t in (0.2, 0.5):
-            assert tnorm_exact(spec.scaled(c), t) == pytest.approx(
+            scaled = HermitianSpec.from_values(c * spec.eigenvalues)
+            assert tnorm_exact(scaled, t) == pytest.approx(
                 abs(c) * tnorm_exact(spec, t), rel=1e-10)
 
     def test_invalid_t(self, bernoulli_spec):
@@ -224,13 +225,24 @@ class TestKarginBound:
         with pytest.raises(DomainError):
             kargin_bound(bernoulli_spec, 0.3)
 
-    @pytest.mark.parametrize("edge, t", [(1e103, 0.5), (4e102, 1.0)],
-                             ids=["cube overflows", "product overflows"])
-    def test_overflow_rejected(self, edge, t):
+    @pytest.mark.parametrize("edge, t, want", [
+        (1e103, 0.5, math.sqrt(2.0) * 1e103 + 2.5e103),
+        (4e102, 1.0, 2.8e103),
+        (1e-170, 0.25, 2.25e-170),
+    ], ids=["cube past the range", "product past the range", "variance underflows"])
+    def test_cube_term_is_scaled_back(self, edge, t, want):
+        # ||a - mean||^3 and the variance leave the float range; their
+        # ratio, formed on the centred and scaled spectrum, does not
         spec = HermitianSpec(2, np.array([-edge, edge]), np.array([1, 1]))
-        with pytest.raises(DomainError, match="overflows"):
-            kargin_bound(spec, t)
-        assert tnorm_report(spec, t).kargin is None
+        assert kargin_bound(spec, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert tnorm_report(spec, t).kargin == kargin_bound(spec, t)
+
+    def test_a_bound_past_the_float_range_is_refused(self):
+        # 2*sigma + 5*||a||^3/variance = 1e308 + 2.5e308; the spectrum itself
+        # stays below 2^1023 about its mean, so only the bound is refused
+        spec = HermitianSpec(2, np.array([-5e307, 5e307]), np.array([1, 1]))
+        with pytest.raises(DomainError, match="the moment bound overflows"):
+            kargin_bound(spec, 1.0)
 
     def test_upper_beats_kargin_on_nonneg(self):
         failures = []
@@ -294,6 +306,22 @@ class TestReport:
         rep = tnorm_report(spec, 0.5)
         assert rep.atom_dominated
         assert rep.upper_abs_atom == pytest.approx(0.7, abs=1e-12)
+
+    def test_the_spectrum_is_centred_once(self, monkeypatch):
+        # both hull ends, sigma, the mean and the moment bound read one
+        # centring of a mixed-sign spectrum
+        calls = []
+        exact = AtomicMeasure.centred.func
+
+        def counting(self):
+            calls.append(self)
+            return exact(self)
+
+        monkeypatch.setattr(AtomicMeasure.centred, "func", counting)
+        spec = HermitianSpec.from_values([-1.0, 0.5, 2.0])
+        rep = tnorm_report(spec, 0.25)
+        assert rep.kargin is not None and rep.lower is None
+        assert calls == [spec.measure()]
 
 
 class TestMembership:
