@@ -5,7 +5,10 @@ its artifacts as (path, text, fallback) triples.  The text goes to the path,
 or else to the fallback stream: stdout for the primary artifact, stderr for
 the rmt sidecar and the scan summary, none for the scan SVG.  `main` alone
 writes them, opening every path before writing any, so a failed run creates
-and changes no file.  Exit codes: 0 success, 1 usage error, 2 domain,
+and changes no file.  An existing output is overwritten from its start and
+cut to its new length, never emptied first: it keeps its hard links and
+permissions, and a run interrupted mid-write can leave the new text followed
+by the old file's tail.  Exit codes: 0 success, 1 usage error, 2 domain,
 convergence or file error.  All randomness flows from --seed through fixed
 Philox streams (see :mod:`freecontract.rng`); re-running a command with
 identical flags produces byte-identical output.
@@ -19,6 +22,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -51,28 +55,33 @@ def _csv_text(header, rows) -> str:
 
 
 def _emit(artifacts) -> None:
-    """Write every artifact or none.  Each path is opened without truncation
-    before any is written; if an open fails, the files this run created are
-    removed and the error propagates."""
+    """Write every artifact or none.  Every path is opened, without being
+    emptied, before any is written; if an open fails or two outputs are one
+    file, the files this run created are removed and the error propagates.
+    An existing file is overwritten from its start and then cut to its new
+    length, so it keeps its inode, hard links and permissions; a run stopped
+    mid-write can leave the new text followed by the old file's tail."""
     paths = [path for path, _, _ in artifacts if path]
-    if len(paths) > 1 and len({os.path.realpath(p) for p in paths}) < len(paths):
-        raise DomainError("two outputs name the same path")
     handles = []
     with contextlib.ExitStack() as opened:
         with contextlib.ExitStack() as undo:
             for path in paths:
                 existed = os.path.lexists(path)
-                handles.append(opened.enter_context(open(path, "a", newline="")))
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
                 if not existed:
                     undo.callback(os.remove, path)
+                handles.append(opened.enter_context(open(fd, "w", newline="")))
+            stats = [os.fstat(fh.fileno()) for fh in handles]
+            if len({(st.st_dev, st.st_ino) for st in stats}) < len(stats):
+                raise DomainError("two outputs name the same path")
             undo.pop_all()
-        handles = iter(handles)
+        handles = iter(zip(handles, stats))
         for path, text, fallback in artifacts:
             if path:
-                fh = next(handles)
-                if os.path.isfile(path):   # not a device or a pipe
-                    fh.truncate(0)
+                fh, st = next(handles)
                 fh.write(text)
+                if stat.S_ISREG(st.st_mode):   # not a device or a pipe
+                    fh.truncate()
             elif fallback is not None:
                 fallback.write(text)
 

@@ -268,7 +268,9 @@ class HermitianSpec:
 
     @property
     def mean(self) -> float:
-        return moments(self._measure)[0]
+        """Read from `AtomicMeasure.centred`, not through `moments`: a spectrum
+        whose variance overflows still has a mean."""
+        return self._measure.centred[0]
 
     @property
     def variance(self) -> float:

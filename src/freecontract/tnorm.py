@@ -159,7 +159,9 @@ def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
     largest eigenvalue) whether or not that bound is computed.  The lower
     bound needs a nonnegative element (L defaults to the largest
     eigenvalue) and the moment bound needs 1/t integral and is None where
-    it overflows; inapplicable estimates are None rather than errors.  When
+    it overflows; inapplicable estimates are None rather than errors.  An
+    upper bound, lower bound or asymptote past the float range is a
+    DomainError: the spectrum's variance may overflow, its estimates not.  When
     the atom term dominates the upper bound, `upper_abs_atom` also records
     the variant with the dominant eigenvalue taken in absolute value (the
     two coincide for nonnegative elements).
@@ -177,8 +179,11 @@ def tnorm_report(spec: HermitianSpec, t: float, L: Optional[float] = None,
             kargin = kargin_bound(spec, t)
         except DomainError:
             pass
+    asymptote = superconvergence_asymptote(spec, t)
+    if not all(map(math.isfinite, (upper, asymptote, lower or 0.0))):
+        raise DomainError(f"an estimate at t = {t!r} is past the float range")
     return TNormReport(t=t, exact=exact, upper=upper, lower=lower, kargin=kargin,
-                       asymptote=superconvergence_asymptote(spec, t),
+                       asymptote=asymptote,
                        atom_dominated=report_abs is not None, upper_abs_atom=report_abs)
 
 

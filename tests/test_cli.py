@@ -73,6 +73,22 @@ class TestTnormCommand:
         obj = json.loads(out.read_text(), parse_constant=refuse)
         assert obj["exact"] == pytest.approx(3e153, rel=1e-12, abs=0.0)
 
+    def test_a_spectrum_whose_variance_overflows_has_a_norm(self, tmp_path):
+        # (1e155)^2 is past the float range, but the mean, sigma, the norm
+        # and every estimate are not
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps(
+            {"k": 2, "eigs": [{"xi": -1e155, "d": 1}, {"xi": 1e155, "d": 1}]}))
+        out = tmp_path / "report.json"
+        assert main(["tnorm", "--spec", str(spec), "--t", "0.5", "--all-bounds",
+                     "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["exact"] == pytest.approx(1e155, rel=1e-12, abs=0.0)
+        assert obj["kargin"] == pytest.approx(math.sqrt(2.0) * 1e155 + 2.5e155,
+                                              rel=1e-12, abs=0.0)
+        assert obj["asymptote"] == pytest.approx(math.sqrt(2.0) * 1e155, rel=1e-12)
+        assert obj["exact"] <= obj["upper"] < math.inf
+
     def test_domain_error_exit_2_and_no_output(self, bernoulli_spec_path, tmp_path):
         out = tmp_path / "never.json"
         code = main(["tnorm", "--spec", bernoulli_spec_path, "--t", "2.0",
@@ -181,16 +197,20 @@ class TestMalformedInputs:
         (["power", "--T", "2", "--measure"], {"atoms": [{"x": "abc", "w": 1.0}]}),
         (["tnorm", "--t", "0.5", "--spec"], {"k": 1, "eigs": [{"xi": 0.0, "d": 10**20}]}),
         # the variance of {-1e155, 1e155} overflows
-        (["tnorm", "--t", "0.5", "--spec"],
-         {"k": 2, "eigs": [{"xi": -1e155, "d": 1}, {"xi": 1e155, "d": 1}]}),
         (["measure", "rho", "--measure"],
          {"atoms": [{"x": -1e155, "w": 0.5}, {"x": 1e155, "w": 0.5}]}),
         # 1e308 from the mean is past 2^1023: the hull end is not scaled back
         (["tnorm", "--t", "0.25", "--spec"],
          {"k": 2, "eigs": [{"xi": -1e308, "d": 1}, {"xi": 1e308, "d": 1}]}),
+        # the norms are 1.7e308; mean + 2*sigma = 2.55e308 and L + mean = 3.4e308
+        # are past the float range
+        (["tnorm", "--t", "1", "--all-bounds", "--spec"],
+         {"k": 2, "eigs": [{"xi": 0.0, "d": 1}, {"xi": 1.7e308, "d": 1}]}),
+        (["tnorm", "--t", "1", "--all-bounds", "--spec"],
+         {"k": 1, "eigs": [{"xi": 1.7e308, "d": 1}]}),
     ], ids=["fractional d", "fractional k", "non-numeric xi", "non-numeric x", "huge d",
-            "overflowing spec variance", "overflowing measure variance",
-            "spec past 2**1023"])
+            "overflowing measure variance", "spec past 2**1023",
+            "asymptote past the float range", "lower bound past the float range"])
     def test_exit_2_with_an_error_line(self, argv, text, tmp_path, capsys):
         path, out = tmp_path / "input.json", tmp_path / "never.json"
         path.write_text(json.dumps(text))
@@ -304,6 +324,70 @@ class TestAllOrNothingOutput:
     def test_out_to_a_device(self, bernoulli_spec_path):
         assert main(["tnorm", "--spec", bernoulli_spec_path, "--t", "0.25",
                      "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("linked", [("--out", "--summary"), ("--summary", "--svg"),
+                                        ("--out", "--svg")])
+    def test_two_hard_links_of_one_file(self, linked, tmp_path, capsys):
+        # the third output is created, then removed when the links are found
+        first, second = tmp_path / "a", tmp_path / "b"
+        first.write_text("old")
+        os.link(first, second)
+        new, = {"--out", "--summary", "--svg"} - set(linked)
+        self._fails_with_one_error_line(self.SCAN + [linked[0], str(first), linked[1],
+                                                     str(second), new, str(tmp_path / "c")],
+                                        capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+        assert first.read_text() == "old"
+
+    def test_a_device_named_twice(self, capsys):
+        self._fails_with_one_error_line(self.SCAN + ["--out", os.devnull,
+                                                     "--summary", os.devnull], capsys)
+
+
+class TestOutputInPlace:
+    # an existing output is overwritten from its start and cut to the new
+    # length: the bytes are those of a run to stdout, whatever was there
+
+    SCAN = TestAllOrNothingOutput.SCAN
+    OLD = {"longer": "x" * 100000, "shorter": "x"}
+
+    @pytest.mark.parametrize("old", OLD)
+    def test_tnorm_over_an_existing_file(self, old, bernoulli_spec_path, tmp_path,
+                                         capsys):
+        argv = ["tnorm", "--spec", bernoulli_spec_path, "--t", "0.25", "--all-bounds"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode()
+        out = tmp_path / "report.json"
+        out.write_text(self.OLD[old])
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("old", OLD)
+    def test_scan_over_existing_files(self, old, tmp_path, capsys):
+        fresh = tmp_path / "fresh.svg"
+        assert main(self.SCAN + ["--svg", str(fresh)]) == 0
+        captured = capsys.readouterr()
+        want = {"scan.csv": captured.out.encode(), "summary.json": captured.err.encode(),
+                "contour.svg": fresh.read_bytes()}
+        for name in want:
+            (tmp_path / name).write_text(self.OLD[old])
+        assert main(self.SCAN + ["--out", str(tmp_path / "scan.csv"),
+                                 "--summary", str(tmp_path / "summary.json"),
+                                 "--svg", str(tmp_path / "contour.svg")]) == 0
+        assert {name: (tmp_path / name).read_bytes() for name in want} == want
+
+    def test_the_file_keeps_its_inode_links_and_permissions(self, bernoulli_spec_path,
+                                                            tmp_path):
+        out, link = tmp_path / "report.json", tmp_path / "link.json"
+        out.write_text("x" * 100000)
+        os.chmod(out, 0o640)
+        os.link(out, link)
+        before = out.stat()
+        assert main(["tnorm", "--spec", bernoulli_spec_path, "--t", "0.25",
+                     "--out", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert json.loads(link.read_text())["t"] == 0.25
 
 
 class TestMeasureCommand:
